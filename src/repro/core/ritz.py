@@ -27,31 +27,29 @@ import scipy.linalg as sla
 
 from ..common.errors import ReproError
 from ..dd.decomposition import Decomposition
+from ..kernels import default_backend
+from ..krylov.cycle import ArnoldiCycle, RestartShell
 from .deflation import DeflationSpace
 from .ras import OneLevelRAS
 
 
 def arnoldi(op, v0: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """k-step Arnoldi: returns (V, H̄) with V of shape (n, k+1) and
-    H̄ of shape (k+1, k), op·V[:, :k] = V H̄ (modified Gram–Schmidt)."""
+    H̄ of shape (k+1, k), op·V[:, :k] = V H̄ (modified Gram–Schmidt).
+    One engine cycle, truncated at the first ``H[j+1, j] < 1e-14``."""
     n = v0.shape[0]
     if k < 1 or k > n:
         raise ReproError(f"arnoldi steps k={k} invalid for n={n}")
-    V = np.zeros((n, k + 1))
-    H = np.zeros((k + 1, k))
     beta = np.linalg.norm(v0)
     if beta == 0:
         raise ReproError("arnoldi requires a nonzero start vector")
-    V[:, 0] = v0 / beta
-    for j in range(k):
-        w = op(V[:, j])
-        for i in range(j + 1):
-            H[i, j] = w @ V[:, i]
-            w -= H[i, j] * V[:, i]
-        H[j + 1, j] = np.linalg.norm(w)
-        if H[j + 1, j] < 1e-14:
-            return V[:, :j + 2], H[:j + 2, :j + 1]
-        V[:, j + 1] = w / H[j + 1, j]
+    cycle = ArnoldiCycle(n, k, op, lambda v: v,
+                         ortho=default_backend().ortho_step,
+                         keep_raw=True, breakdown=1e-14)
+    j = cycle.expand(RestartShell(op, v0, tol=0.0, maxiter=k), v0, beta)
+    V, H = cycle.V[:, :j + 1], cycle.Hraw[:j + 1, :j]
+    if H[j, j - 1] < 1e-14:
+        V[:, j] = 0.0
     return V, H
 
 

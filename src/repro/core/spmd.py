@@ -16,7 +16,8 @@ Everything in this module runs with one thread per subdomain against
   ``Gather(v)`` on splitComm, distributed solve, ``Scatter(v)``,
   then the eq. (12) overlap exchange;
 * :func:`spmd_gmres` — classical right-preconditioned GMRES with
-  distributed vectors (dots via one ``allreduce`` batch per iteration);
+  distributed vectors (dots via one ``allreduce`` batch per iteration),
+  on the shared engine of :mod:`repro.krylov.cycle`;
 * :func:`spmd_fused_p1_gmres` — **§3.5**: the pipelined p1-GMRES whose
   dot products ride along the coarse-correction Gather/Scatter, with a
   single overlapped ``Iallreduce`` between the masters and *zero*
@@ -31,6 +32,9 @@ import numpy as np
 
 from ..common.errors import ReproError
 from ..dd.decomposition import Decomposition
+from ..krylov.cycle import (ArnoldiCycle, KrylovResult, KrylovState,
+                            RestartShell)
+from ..krylov.pipelined import _lsq
 from ..mpi.meter import Meter
 from ..mpi.simmpi import Comm, run_spmd, waitany
 from ..solvers import DistributedCholesky, factorize
@@ -125,14 +129,18 @@ class SpmdRank:
         tag = tag_base + self._tag_counter
         for j in sub.neighbors:
             comm.isend(x[sub.shared[j]], j, tag)
-        out = x.copy()
         pending = {j: comm.irecv(j, tag) for j in sub.neighbors}
+        got = {}
         while pending:
             keys = list(pending.keys())
             idx, val = waitany([pending[k] for k in keys])
-            j = keys[idx]
-            del pending[j]
-            out[sub.shared[j]] += val
+            got[keys[idx]] = val
+            del pending[keys[idx]]
+        # sum in neighbour order, not arrival order: identical runs give
+        # bitwise-identical vectors
+        out = x.copy()
+        for j in sub.neighbors:
+            out[sub.shared[j]] += got[j]
         return out
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -157,6 +165,23 @@ class SpmdRank:
         """Batched inner products — ONE allreduce for the whole batch."""
         local = np.array([(self.sub.d * u) @ v for u, v in pairs])
         return np.asarray(self.comm.allreduce(local))
+
+    def norm(self, u: np.ndarray) -> float:
+        """Global 2-norm (one allreduce)."""
+        return np.sqrt(self.dot(u, u))
+
+    def cgs_step(self, V: np.ndarray, w: np.ndarray, H: np.ndarray,
+                 j: int, scratch: np.ndarray) -> int:
+        """One classical Gram–Schmidt Arnoldi step on distributed vectors,
+        with the :meth:`repro.kernels.KernelBackend.ortho_step` contract:
+        one batched dot allreduce plus one norm allreduce (2 syncs)."""
+        hcol = self.dots([(w, V[:, k]) for k in range(j + 1)])
+        H[:j + 1, j] = hcol
+        w = w - V[:, :j + 1] @ hcol
+        H[j + 1, j] = self.norm(w)
+        if H[j + 1, j] > 0:
+            V[:, j + 1] = w / H[j + 1, j]
+        return 2
 
     # -- coarse correction (§3.2) ---------------------------------------
     def correction(self, u: np.ndarray, h_local: np.ndarray | None = None):
@@ -356,67 +381,25 @@ def spmd_gmres(rank: SpmdRank, b: np.ndarray, *, tol: float = 1e-6,
     and one norm allreduce (two blocking global synchronisations).
     Returns ``(x_i, iterations, residuals)`` on every rank.
     """
+    res = spmd_restarted(rank, b, KrylovState(0, 0, np.zeros(b.shape[0])),
+                         tol=tol, restart=restart, maxiter=maxiter,
+                         two_level=two_level)
+    return res.x, res.iterations, res.residuals
+
+
+def spmd_restarted(rank: SpmdRank, b: np.ndarray, state, *, tol: float,
+                   restart: int, maxiter: int, two_level: bool,
+                   on_boundary=None) -> KrylovResult:
+    """:mod:`repro.krylov.cycle` on this rank's vectors (allreduce norms,
+    :meth:`SpmdRank.cgs_step`, ``fault_point("iteration")`` as the fault
+    tick), resuming from *state*; *on_boundary* is the shell's hook."""
     precond = (lambda u: rank.adef1(u)[0]) if two_level else rank.ras
-    n = b.shape[0]
-    x = np.zeros(n)
-    bnorm = np.sqrt(rank.dot(b, b))
-    if bnorm == 0:
-        return x, 0, [0.0]
-    target = tol * bnorm
-    residuals = []
-    total_it = 0
-    while True:
-        rank.comm.fault_point("iteration")
-        r = b - rank.matvec(x)
-        beta = np.sqrt(rank.dot(r, r))
-        residuals.append(beta / bnorm)
-        if beta <= target or total_it >= maxiter:
-            break
-        m = restart
-        V = np.zeros((n, m + 1))
-        H = np.zeros((m + 1, m))
-        g = np.zeros(m + 1)
-        g[0] = beta
-        V[:, 0] = r / beta
-        cs, sn = np.zeros(m), np.zeros(m)
-        j_done = 0
-        for j in range(m):
-            rank.comm.fault_point("iteration")
-            w = rank.matvec(precond(V[:, j]))
-            # one batched reduction for all j+1 dots
-            hcol = rank.dots([(w, V[:, k]) for k in range(j + 1)])
-            H[:j + 1, j] = hcol
-            w = w - V[:, :j + 1] @ hcol
-            H[j + 1, j] = np.sqrt(rank.dot(w, w))
-            if H[j + 1, j] > 0:
-                V[:, j + 1] = w / H[j + 1, j]
-            for k in range(j):
-                t = cs[k] * H[k, j] + sn[k] * H[k + 1, j]
-                H[k + 1, j] = -sn[k] * H[k, j] + cs[k] * H[k + 1, j]
-                H[k, j] = t
-            denom = np.hypot(H[j, j], H[j + 1, j])
-            cs[j] = H[j, j] / denom if denom else 1.0
-            sn[j] = H[j + 1, j] / denom if denom else 0.0
-            H[j, j] = denom
-            H[j + 1, j] = 0.0
-            g[j + 1] = -sn[j] * g[j]
-            g[j] = cs[j] * g[j]
-            total_it += 1
-            j_done = j + 1
-            residuals.append(abs(g[j + 1]) / bnorm)
-            if abs(g[j + 1]) <= target or total_it >= maxiter:
-                break
-        if j_done:
-            y = np.zeros(j_done)
-            for k in range(j_done - 1, -1, -1):
-                y[k] = (g[k] - H[k, k + 1:j_done] @ y[k + 1:j_done]) / H[k, k]
-            x = x + precond(V[:, :j_done] @ y)
-        rtrue = np.sqrt(rank.dot(b - rank.matvec(x),
-                                 b - rank.matvec(x)))
-        if rtrue <= target or total_it >= maxiter:
-            residuals[-1] = rtrue / bnorm
-            break
-    return x, total_it, residuals
+    cycle = ArnoldiCycle(b.shape[0], restart, rank.matvec, precond,
+                         ortho=rank.cgs_step)
+    shell = RestartShell(rank.matvec, b, state, tol=tol, maxiter=maxiter,
+                         norm=rank.norm, on_boundary=on_boundary,
+                         fault=lambda: rank.comm.fault_point("iteration"))
+    return shell.run(cycle)
 
 
 def spmd_fused_p1_gmres(rank: SpmdRank, b: np.ndarray, *, tol: float = 1e-6,
@@ -497,7 +480,7 @@ def spmd_fused_p1_gmres(rank: SpmdRank, b: np.ndarray, *, tol: float = 1e-6,
                 batch = np.concatenate([[(d * V[:, i]) @ V[:, i]], dots])
             # residual estimate on the fully-landed H̄ prefix (lag 2)
             if i >= 2:
-                res = _spmd_lsq_residual(H, beta, i - 1)
+                res = _lsq(H, beta, i - 1)[1]
                 residuals.append(res / bnorm)
                 if res <= target:
                     break
@@ -508,25 +491,13 @@ def spmd_fused_p1_gmres(rank: SpmdRank, b: np.ndarray, *, tol: float = 1e-6,
         H[finalized, finalized - 1] = np.sqrt(max(float(red[0]), 0.0))
         k = finalized
         if k:
-            g = np.zeros(k + 1)
-            g[0] = beta
-            y, *_ = np.linalg.lstsq(H[:k + 1, :k], g, rcond=None)
-            x = x + V[:, :k] @ y                # left preconditioning
+            x = x + V[:, :k] @ _lsq(H, beta, k)[0]   # left precond.
         rp, _ = rank.adef1(b - rank.matvec(x))
         rtrue = np.sqrt(rank.dot(rp, rp))
         residuals.append(rtrue / bnorm)
         if rtrue <= target or total_it >= maxiter:
             break
     return x, total_it, residuals
-
-
-def _spmd_lsq_residual(H, beta, k):
-    g = np.zeros(k + 1)
-    g[0] = beta
-    y, res2, *_ = np.linalg.lstsq(H[:k + 1, :k], g, rcond=None)
-    if res2.size:
-        return float(np.sqrt(res2[0]))
-    return float(np.linalg.norm(g - H[:k + 1, :k] @ y))
 
 
 # ----------------------------------------------------------------------

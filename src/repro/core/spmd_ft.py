@@ -31,21 +31,23 @@ recovery cycle roll back one boundary snapshot, never more.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..common.errors import RankFailure, ReproError
 from ..dd.decomposition import Decomposition
+from ..krylov.cycle import KrylovState
 from ..mpi.meter import Meter
 from ..mpi.simmpi import Comm, run_spmd
-from ..resilience.checkpoint import (CheckpointStore, IterateCheckpoint,
-                                     jacobi_surrogate, partner_map,
-                                     pou_reconstruct, pou_send_contribution,
-                                     setup_payload, TAG_RESTORE_ITER)
+from ..resilience.checkpoint import (CheckpointStore, jacobi_surrogate,
+                                     partner_map, pou_reconstruct,
+                                     pou_send_contribution, setup_payload,
+                                     TAG_RESTORE_ITER)
 from ..solvers import DistributedCholesky, factorize
 from .deflation import DeflationSpace
-from .spmd import SpmdRank, assemble_coarse_spmd, build_master_comms
+from .spmd import (SpmdRank, assemble_coarse_spmd, build_master_comms,
+                   spmd_restarted)
 
 
 @dataclass
@@ -75,12 +77,10 @@ class _RankState:
     store: CheckpointStore
     blob: dict
     two_level: bool
-    x: np.ndarray
-    k: int = 0
-    residuals: list = field(default_factory=list)
-    cycle: int = 0
-    boundary: IterateCheckpoint | None = None
-    prev_boundary: IterateCheckpoint | None = None
+    #: the restart shell's live state, snapshotted at every boundary
+    krylov: KrylovState
+    boundary: KrylovState | None = None
+    prev_boundary: KrylovState | None = None
 
 
 @dataclass
@@ -118,7 +118,8 @@ def _ft_setup(comm: Comm, env: _FtEnv) -> _RankState:
         store.replicate_setup(blob)
     n = len(env.dec.subdomains[comm.rank].dofs)
     return _RankState(rank=rank, store=store, blob=blob,
-                      two_level=env.two_level, x=np.zeros(n))
+                      two_level=env.two_level,
+                      krylov=KrylovState(0, 0, np.zeros(n)))
 
 
 # ----------------------------------------------------------------------
@@ -129,68 +130,18 @@ def _ft_gmres_cycles(st: _RankState, b: np.ndarray, env: _FtEnv):
     """Right-preconditioned restarted GMRES that snapshots (and, when
     due, replicates) its state at every restart-cycle boundary and can
     resume from ``st`` after a recovery rollback."""
-    rank = st.rank
-    n = b.shape[0]
-    bnorm = np.sqrt(rank.dot(b, b))
-    if bnorm == 0:
-        return st.x, st.k, st.residuals or [0.0]
-    target = env.tol * bnorm
-    while True:
-        precond = ((lambda u: rank.adef1(u)[0]) if st.two_level
-                   else rank.ras)
-        rank.comm.fault_point("iteration")
-        r = b - rank.matvec(st.x)
-        beta = np.sqrt(rank.dot(r, r))
-        # boundary snapshot BEFORE appending this cycle's residual so a
-        # rollback re-enters the loop and deterministically re-appends
+
+    def boundary(done: bool) -> None:
+        # snapshot BEFORE the shell touches this boundary's history entry
+        # so a rollback re-enters the loop and deterministically redoes it
         st.prev_boundary = st.boundary
-        st.boundary = IterateCheckpoint(st.cycle, st.k, st.x.copy(),
-                                        list(st.residuals))
-        st.residuals.append(beta / bnorm)
-        if beta <= target or st.k >= env.maxiter:
-            break
-        if st.store.due(st.cycle):
+        st.boundary = st.krylov.copy()
+        if not done and st.store.due(st.krylov.cycle):
             st.store.tick(st.boundary)
-        m = env.restart
-        V = np.zeros((n, m + 1))
-        H = np.zeros((m + 1, m))
-        g = np.zeros(m + 1)
-        g[0] = beta
-        V[:, 0] = r / beta
-        cs, sn = np.zeros(m), np.zeros(m)
-        j_done = 0
-        for j in range(m):
-            rank.comm.fault_point("iteration")
-            w = rank.matvec(precond(V[:, j]))
-            hcol = rank.dots([(w, V[:, k]) for k in range(j + 1)])
-            H[:j + 1, j] = hcol
-            w = w - V[:, :j + 1] @ hcol
-            H[j + 1, j] = np.sqrt(rank.dot(w, w))
-            if H[j + 1, j] > 0:
-                V[:, j + 1] = w / H[j + 1, j]
-            for k in range(j):
-                t = cs[k] * H[k, j] + sn[k] * H[k + 1, j]
-                H[k + 1, j] = -sn[k] * H[k, j] + cs[k] * H[k + 1, j]
-                H[k, j] = t
-            denom = np.hypot(H[j, j], H[j + 1, j])
-            cs[j] = H[j, j] / denom if denom else 1.0
-            sn[j] = H[j + 1, j] / denom if denom else 0.0
-            H[j, j] = denom
-            H[j + 1, j] = 0.0
-            g[j + 1] = -sn[j] * g[j]
-            g[j] = cs[j] * g[j]
-            st.k += 1
-            j_done = j + 1
-            st.residuals.append(abs(g[j + 1]) / bnorm)
-            if abs(g[j + 1]) <= target or st.k >= env.maxiter:
-                break
-        if j_done:
-            y = np.zeros(j_done)
-            for k in range(j_done - 1, -1, -1):
-                y[k] = (g[k] - H[k, k + 1:j_done] @ y[k + 1:j_done]) / H[k, k]
-            st.x = st.x + precond(V[:, :j_done] @ y)
-        st.cycle += 1
-    return st.x, st.k, st.residuals
+
+    return spmd_restarted(st.rank, b, st.krylov, tol=env.tol,
+                          restart=env.restart, maxiter=env.maxiter,
+                          two_level=st.two_level, on_boundary=boundary)
 
 
 # ----------------------------------------------------------------------
@@ -243,7 +194,7 @@ def _ft_recover(comm: Comm, plan: dict, st: _RankState | None,
     # ---- survivor rollback to the common boundary cycle --------------
     if st is not None:
         if c_min < 0:
-            snap = IterateCheckpoint(0, 0, np.zeros_like(st.x), [])
+            snap = KrylovState(0, 0, np.zeros_like(st.krylov.x))
         elif st.boundary.cycle == c_min:
             snap = st.boundary
         elif (st.prev_boundary is not None
@@ -253,10 +204,7 @@ def _ft_recover(comm: Comm, plan: dict, st: _RankState | None,
             raise ReproError(
                 f"rank {comm.rank}: no boundary snapshot at cycle "
                 f"{c_min} (have {st.boundary.cycle})")
-        st.x = snap.x.copy()
-        st.k = snap.k
-        st.residuals = list(snap.residuals)
-        st.cycle = snap.cycle
+        st.krylov = snap.copy()
         st.boundary = None
         st.prev_boundary = None
 
@@ -319,7 +267,8 @@ def _ft_recover(comm: Comm, plan: dict, st: _RankState | None,
                                 checkpoint_every=env.checkpoint_every)
         n = len(sub.dofs)
         st = _RankState(rank=rank, store=store, blob=blob,
-                        two_level=two_level_next, x=np.zeros(n))
+                        two_level=two_level_next,
+                        krylov=KrylovState(0, 0, np.zeros(n)))
     else:
         st.rank.layout = layout
         st.two_level = two_level_next
@@ -344,10 +293,7 @@ def _ft_recover(comm: Comm, plan: dict, st: _RankState | None,
                 if comm.rank == p:
                     st.store.serve_iter(i)
                 elif comm.rank == i:
-                    ck = st.store.fetch_iter()
-                    st.x, st.k = ck.x.copy(), ck.k
-                    st.residuals = list(ck.residuals)
-                    st.cycle = ck.cycle
+                    st.krylov = st.store.fetch_iter().copy()
                     rec["restored_from_ckpt"].append(comm.rank)
             else:
                 # PoU reconstruction from the live overlap neighbors;
@@ -355,25 +301,25 @@ def _ft_recover(comm: Comm, plan: dict, st: _RankState | None,
                 # comes from the lowest-rank survivor
                 neigh = [j for j in dec.subdomains[i].neighbors
                          if j not in Rset]
+                kr = st.krylov
                 if comm.rank == donor:
-                    comm.isend({"k": st.k, "residuals": list(st.residuals),
-                                "cycle": st.cycle}, i, TAG_RESTORE_ITER)
+                    comm.isend({"k": kr.k, "residuals": list(kr.residuals),
+                                "cycle": kr.cycle}, i, TAG_RESTORE_ITER)
                 if comm.rank in neigh:
-                    pou_send_contribution(comm, st.rank.sub, st.x, i)
+                    pou_send_contribution(comm, st.rank.sub, kr.x, i)
                 if comm.rank == i:
                     meta = comm.recv(donor, TAG_RESTORE_ITER)
-                    st.x = pou_reconstruct(comm, st.rank.sub, neigh)
-                    st.k = meta["k"]
-                    st.residuals = list(meta["residuals"])
-                    st.cycle = meta["cycle"]
+                    st.krylov = KrylovState(
+                        meta["cycle"], meta["k"],
+                        pou_reconstruct(comm, st.rank.sub, neigh),
+                        list(meta["residuals"]))
                     rec["restored_from_pou"].append(comm.rank)
 
     # ---- re-replication + full iterate tick --------------------------
     if env.checkpoint_every > 0:
         st.store.replicate_setup(st.blob, affected=Rset)
         if c_min >= 0:
-            st.store.tick(IterateCheckpoint(st.cycle, st.k, st.x.copy(),
-                                            list(st.residuals)))
+            st.store.tick(st.krylov)
     rec["restore_seconds"] = time.monotonic() - t0
     return st, rec
 
@@ -395,13 +341,13 @@ def _ft_rank_main(comm: Comm, env: _FtEnv):
                 plan = None
             if st is None:
                 st = _ft_setup(comm, env)
-            x, k, residuals = _ft_gmres_cycles(
-                st, env.b_list[comm.rank], env)
+            res = _ft_gmres_cycles(st, env.b_list[comm.rank], env)
             # kills can only fire at instrumented call sites: once this
             # barrier completes no rank makes another call, so no repair
             # can be needed after the first rank returns
             comm.barrier()
-            return {"x": x, "iterations": k, "residuals": residuals,
+            return {"x": res.x, "iterations": res.iterations,
+                    "residuals": res.residuals, "converged": res.converged,
                     "recoveries": recoveries, "two_level": st.two_level,
                     "ticks": st.store.ticks, "adopted": comm.adopted}
         except RankFailure as exc:
@@ -477,10 +423,8 @@ def solve_spmd_ft(dec: Decomposition, space: DeflationSpace,
                         "degraded_local"):
                 m[key] = sorted(set(m[key]) | set(rec[key]))
     recoveries = [merged[e] for e in sorted(merged)]
-    residuals = r0["residuals"]
-    converged = bool(residuals and residuals[-1] <= tol)
     return SpmdFtReport(
-        x=x, iterations=r0["iterations"], residuals=residuals,
-        meter=meter, converged=converged, recoveries=recoveries,
+        x=x, iterations=r0["iterations"], residuals=r0["residuals"],
+        meter=meter, converged=r0["converged"], recoveries=recoveries,
         two_level=all(r["two_level"] for r in results),
         checkpoint_ticks=max(r["ticks"] for r in results))

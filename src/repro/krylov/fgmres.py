@@ -7,9 +7,9 @@ closing concern).  Classical right-preconditioned GMRES assumes a fixed
 M; FGMRES stores the preconditioned basis Z_j = M_j v_j and stays exact
 under iteration-dependent preconditioning.
 
-Workspaces (V, the flexible basis Z, the Hessenberg data) are allocated
-once per solve and reused across restarts; the per-phase profiler
-mirrors :func:`repro.krylov.gmres`.
+It is the classical cycle of :mod:`repro.krylov.cycle` with the flexible
+basis switched on; workspaces and the per-phase profiler mirror
+:func:`repro.krylov.gmres`.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import KrylovError
-from .gmres import KrylovResult, _as_operator
-from .profile import SolveProfiler, finish_zero_rhs
+from .cycle import ArnoldiCycle, KrylovResult, RestartShell
+from .profile import SolveProfiler
 
 
 def fgmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
@@ -34,105 +34,10 @@ def fgmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
     """
     from ..kernels import default_backend
     kern = default_backend() if kernels is None else kernels
-    b = np.asarray(b, dtype=np.float64)
-    n = b.shape[0]
     if restart < 1:
         raise KrylovError(f"restart must be >= 1, got {restart}")
-    prof = profiler if profiler is not None else SolveProfiler()
-    A_mul = prof.wrap(_as_operator(A, n, "A"), "matvec")
-    M_mul = prof.wrap(_as_operator(M, n, "M"), "apply")
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-    if health is not None:
-        health.profiler = prof
-
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return finish_zero_rhs(n, profiler=prof, callback=callback,
-                               health=health)
-    target = tol * bnorm
-    residuals: list[float] = []
-    syncs = 0
-    total_it = 0
-    cycle = 0
-
-    # workspaces allocated once, reused across restarts
-    m = restart
-    V = np.empty((n, m + 1))
-    Zs = np.empty((n, m))              # flexible: store M_j v_j
-    H = np.zeros((m + 1, m))
-    g = np.zeros(m + 1)
-    cs, sn = np.zeros(m), np.zeros(m)
-    scratch = np.empty(n)
-
-    while True:
-        if cycle > 0:
-            prof.restart(cycle, total_it)
-        cycle += 1
-        r = b - A_mul(x)
-        beta = float(np.linalg.norm(r))
-        syncs += 1
-        residuals.append(beta / bnorm)
-        prof.iteration(total_it, beta / bnorm)
-        if health is not None:
-            health.observe(total_it, beta / bnorm, x)
-        if callback is not None:
-            callback(total_it, beta / bnorm)
-        if beta <= target or total_it >= maxiter:
-            break
-        H.fill(0.0)
-        g.fill(0.0)
-        g[0] = beta
-        np.divide(r, beta, out=V[:, 0])
-        j_done = 0
-        for j in range(m):
-            Zs[:, j] = M_mul(V[:, j])
-            w = A_mul(Zs[:, j])
-            with prof.phase("orthogonalization"):
-                syncs += kern.ortho_step(V, w, H, j, scratch)
-                if H[j + 1, j] > 0:
-                    if health is not None and j > 0:
-                        health.check_vector("basis", V[:, j + 1], total_it)
-                        health.orthogonality(
-                            total_it, float(V[:, j + 1] @ V[:, 0]))
-                else:
-                    prof.orthogonality_loss(total_it, float(H[j + 1, j]))
-            for i in range(j):
-                t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-                H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-                H[i, j] = t
-            denom = np.hypot(H[j, j], H[j + 1, j])
-            cs[j] = H[j, j] / denom if denom else 1.0
-            sn[j] = H[j + 1, j] / denom if denom else 0.0
-            H[j, j] = denom
-            H[j + 1, j] = 0.0
-            g[j + 1] = -sn[j] * g[j]
-            g[j] = cs[j] * g[j]
-            total_it += 1
-            j_done = j + 1
-            residuals.append(abs(g[j + 1]) / bnorm)
-            prof.iteration(total_it, residuals[-1])
-            if health is not None:
-                health.observe(total_it, residuals[-1])
-            if callback is not None:
-                callback(total_it, residuals[-1])
-            if abs(g[j + 1]) <= target or total_it >= maxiter:
-                break
-        if j_done:
-            y = np.zeros(j_done)
-            for i in range(j_done - 1, -1, -1):
-                y[i] = (g[i] - H[i, i + 1:j_done] @ y[i + 1:j_done]) \
-                    / H[i, i]
-            x = x + Zs[:, :j_done] @ y
-        rtrue = float(np.linalg.norm(b - A_mul(x)))
-        if rtrue <= target:
-            residuals[-1] = rtrue / bnorm
-            prof.iteration(total_it, rtrue / bnorm, corrected=True)
-            break
-        if total_it >= maxiter:
-            return KrylovResult(x=x, iterations=total_it,
-                                residuals=residuals, converged=False,
-                                global_syncs=syncs, profile=prof.as_dict())
-    return KrylovResult(x=x, iterations=total_it, residuals=residuals,
-                        converged=residuals[-1] * bnorm <= target
-                        * (1 + 1e-12),
-                        global_syncs=syncs, profile=prof.as_dict())
+    shell, M_mul = RestartShell.sequential(
+        A, b, M=M, x0=x0, tol=tol, maxiter=maxiter, profiler=profiler,
+        health=health, callback=callback)
+    return shell.run(ArnoldiCycle(len(shell.b), restart, shell.A_mul, M_mul,
+                                  ortho=kern.ortho_step, flexible=True))

@@ -9,9 +9,11 @@ iteration i+1 — in a parallel run it hides behind the next matrix–vector
 product, so each iteration costs **zero blocking** global
 synchronisations (vs two for classical GMRES).
 
-The synchronisation accounting distinguishes ``global_syncs`` (blocking)
-from ``overlapped_reductions`` (posted non-blocking and hidden); the
-§3.5 bench compares these across the three GMRES variants.
+The synchronisation accounting distinguishes ``global_syncs`` (blocking:
+one norm per restart boundary) from ``overlapped_reductions`` (posted
+non-blocking and hidden); the §3.5 bench compares these across the three
+GMRES variants.  The basis generator is a cycle of the shared
+:mod:`repro.krylov.cycle`.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import KrylovError
-from .gmres import KrylovResult, _as_operator
-from .profile import SolveProfiler, finish_zero_rhs
+from .cycle import KrylovResult, RestartShell
+from .profile import SolveProfiler
 
 
 def p1_gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
@@ -35,63 +37,31 @@ def p1_gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
     and Hessenberg workspaces are allocated once per solve and reused
     across restarts.
     """
-    b = np.asarray(b, dtype=np.float64)
-    n = b.shape[0]
     if restart < 1:
         raise KrylovError(f"restart must be >= 1, got {restart}")
-    prof = profiler if profiler is not None else SolveProfiler()
-    A_mul = prof.wrap(_as_operator(A, n, "A"), "matvec")
-    M_mul = prof.wrap(_as_operator(M, n, "M"), "apply")
-    op = lambda v: A_mul(M_mul(v))  # noqa: E731 - local composition
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-    if health is not None:
-        health.profiler = prof
-
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return finish_zero_rhs(n, profiler=prof, callback=callback,
-                               health=health)
-    target = tol * bnorm
-
-    residuals: list[float] = []
-    blocking_syncs = 0
-    overlapped = 0
-    total_it = 0
-    cycle = 0
-
-    # workspaces allocated once, reused across restarts
+    shell, M_mul = RestartShell.sequential(
+        A, b, M=M, x0=x0, tol=tol, maxiter=maxiter, profiler=profiler,
+        health=health, callback=callback)
+    A_mul, prof, n = shell.A_mul, shell.prof, len(shell.b)
     m = restart
     V = np.empty((n, m + 2))
     Z = np.empty((n, m + 2))
     H = np.zeros((m + 2, m + 1))
+    overlapped = 0
 
-    while True:
-        if cycle > 0:
-            prof.restart(cycle, total_it)
-        cycle += 1
-        r = b - A_mul(x)
-        beta = float(np.linalg.norm(r))
-        blocking_syncs += 1
-        residuals.append(beta / bnorm)
-        prof.iteration(total_it, beta / bnorm)
-        if health is not None:
-            health.observe(total_it, beta / bnorm, x)
-        if callback is not None:
-            callback(total_it, beta / bnorm)
-        if beta <= target or total_it >= maxiter:
-            break
-
+    def cycle(shell, x, r, beta):
+        nonlocal overlapped
         H.fill(0.0)
         np.divide(r, beta, out=V[:, 0])
         Z[:, 0] = V[:, 0]
         finalized = 0            # number of fully corrected columns
         for i in range(m + 1):
-            w = op(Z[:, i])
+            w = A_mul(M_mul(Z[:, i]))
             if i > 1:
                 eta = H[i - 1, i - 2]
                 if eta == 0.0:
                     # lucky breakdown: basis is invariant
-                    prof.orthogonality_loss(total_it, 0.0)
+                    prof.orthogonality_loss(shell.state.k, 0.0)
                     break
                 V[:, i - 1] /= eta
                 Z[:, i] /= eta
@@ -108,64 +78,33 @@ def p1_gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
                 V[:, i] = Z[:, i] - V[:, :i] @ H[:i, i - 1]
                 H[i, i - 1] = float(np.linalg.norm(V[:, i]))
                 finalized = i    # column i−1 of H̄ is now final
-                total_it += 1
             # line 12: h_{j,i} = ⟨z_{i+1}, v_j⟩ — fused with the norm above
             # into ONE reduction, posted non-blocking (hidden behind the
             # next matvec in a parallel run)
             with prof.phase("orthogonalization"):
                 H[:i + 1, i] = V[:, :i + 1].T @ Z[:, i + 1]
             overlapped += 1
-
             if finalized:
-                res = _lsq_residual(H, beta, finalized)
-                residuals.append(res / bnorm)
-                prof.iteration(total_it, res / bnorm)
-                if health is not None:
-                    health.observe(total_it, res / bnorm)
-                if callback is not None:
-                    callback(total_it, res / bnorm)
-                if res <= target or total_it >= maxiter:
+                y, res = _lsq(H, beta, finalized)
+                if shell.report(res):
                     break
             if i > 1 and H[i - 1, i - 2] == 0.0:
                 break
-        k = finalized
-        if k:
-            y = _lsq_solve(H, beta, k)
-            x = x + M_mul(V[:, :k] @ y)
-        rtrue = float(np.linalg.norm(b - A_mul(x)))
-        blocking_syncs += 1
-        if rtrue <= target:
-            residuals[-1] = rtrue / bnorm
-            prof.iteration(total_it, rtrue / bnorm, corrected=True)
-            break
-        if total_it >= maxiter:
-            res = KrylovResult(x=x, iterations=total_it, residuals=residuals,
-                               converged=False, global_syncs=blocking_syncs,
-                               profile=prof.as_dict())
-            res.overlapped_reductions = overlapped
-            return res
-    res = KrylovResult(x=x, iterations=total_it, residuals=residuals,
-                       converged=residuals[-1] * bnorm <= target * (1 + 1e-12),
-                       global_syncs=blocking_syncs, profile=prof.as_dict())
+        if finalized:           # y solves the final H̄ prefix
+            x = x + M_mul(V[:, :finalized] @ y)
+        return x
+
+    res = shell.run(cycle)
     res.overlapped_reductions = overlapped
     return res
 
 
-def _hbar(H: np.ndarray, k: int) -> np.ndarray:
-    return H[:k + 1, :k]
-
-
-def _lsq_solve(H: np.ndarray, beta: float, k: int) -> np.ndarray:
+def _lsq(H: np.ndarray, beta: float, k: int):
+    """Least squares ``min ‖β e₁ − H̄_k y‖``: returns ``(y, residual)``."""
     g = np.zeros(k + 1)
     g[0] = beta
-    y, *_ = np.linalg.lstsq(_hbar(H, k), g, rcond=None)
-    return y
-
-
-def _lsq_residual(H: np.ndarray, beta: float, k: int) -> float:
-    g = np.zeros(k + 1)
-    g[0] = beta
-    y, res2, *_ = np.linalg.lstsq(_hbar(H, k), g, rcond=None)
+    Hk = H[:k + 1, :k]
+    y, res2, *_ = np.linalg.lstsq(Hk, g, rcond=None)
     if res2.size:
-        return float(np.sqrt(res2[0]))
-    return float(np.linalg.norm(g - _hbar(H, k) @ y))
+        return y, float(np.sqrt(res2[0]))
+    return y, float(np.linalg.norm(g - Hk @ y))

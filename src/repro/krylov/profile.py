@@ -141,7 +141,7 @@ def finish_zero_rhs(n: int, *, profiler: SolveProfiler,
     the iteration-0 behaviour of a normal solve (previously both were
     silently skipped).
     """
-    from .gmres import KrylovResult    # deferred: gmres imports profile
+    from .cycle import KrylovResult    # deferred: cycle imports profile
     x = np.zeros(n)
     profiler.iteration(0, 0.0)
     if health is not None:

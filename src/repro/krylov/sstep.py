@@ -12,6 +12,7 @@ In exact arithmetic one cycle minimises the residual over the same
 Krylov space as classical GMRES(s), so per-cycle convergence matches;
 the monomial basis limits practical ``s`` to ≲ 12 (its condition number
 grows geometrically), which is the known trade-off of the approach.
+The block generator is a cycle of the shared :mod:`repro.krylov.cycle`.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import KrylovError
-from .gmres import KrylovResult, _as_operator
-from .profile import SolveProfiler, finish_zero_rhs
+from .cycle import KrylovResult, RestartShell
+from .profile import SolveProfiler
 
 
 def s_step_gmres(A, b: np.ndarray, *, M=None, s: int = 6,
@@ -36,53 +37,24 @@ def s_step_gmres(A, b: np.ndarray, *, M=None, s: int = 6,
         Basis-block size per cycle (recommended 2–12; the monomial basis
         degrades beyond that).
     """
-    b = np.asarray(b, dtype=np.float64)
-    n = b.shape[0]
+    n = np.asarray(b).shape[0]
     if not (1 <= s <= n):
         raise KrylovError(f"s must be in [1, {n}], got {s}")
-    prof = profiler if profiler is not None else SolveProfiler()
-    A_mul = prof.wrap(_as_operator(A, n, "A"), "matvec")
-    M_mul = prof.wrap(_as_operator(M, n, "M"), "apply")
-    op = lambda v: A_mul(M_mul(v))          # noqa: E731
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-    if health is not None:
-        health.profiler = prof
-
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return finish_zero_rhs(n, profiler=prof, callback=callback,
-                               health=health)
-    target = tol * bnorm
-
-    residuals: list[float] = []
-    syncs = 0
-    total_it = 0
-    cycle = 0
+    shell, M_mul = RestartShell.sequential(
+        A, b, M=M, x0=x0, tol=tol, maxiter=maxiter, profiler=profiler,
+        health=health, callback=callback)
+    op = lambda v: shell.A_mul(M_mul(v))    # noqa: E731
     theta = None                             # spectral-radius estimate
 
-    while True:
-        if cycle > 0:
-            prof.restart(cycle, total_it)
-        cycle += 1
-        r = b - A_mul(x)
-        beta = float(np.linalg.norm(r))
-        syncs += 1
-        residuals.append(beta / bnorm)
-        prof.iteration(total_it, beta / bnorm)
-        if health is not None:
-            health.observe(total_it, beta / bnorm, x)
-        if callback is not None:
-            callback(total_it, beta / bnorm)
-        if beta <= target or total_it >= maxiter:
-            break
-
+    def cycle(shell, x, r, beta):
+        nonlocal theta
         # ---- generate the monomial block: NO reductions inside -------
         P = np.zeros((n, s + 1))
         P[:, 0] = r / beta
         if theta is None:
             w = op(P[:, 0])
             theta = float(np.linalg.norm(w))    # one-time scale estimate
-            syncs += 1
+            shell.syncs += 1
             theta = max(theta, 1e-300)
             P[:, 1] = w / theta
             start = 2
@@ -93,9 +65,9 @@ def s_step_gmres(A, b: np.ndarray, *, M=None, s: int = 6,
 
         # ---- orthonormalise with two batched reductions ---------------
         # CholeskyQR: G = PᵀP (reduction #1), P Q R with R = chol(G)ᵀ
-        with prof.phase("orthogonalization"):
+        with shell.prof.phase("orthogonalization"):
             G = P.T @ P
-        syncs += 1
+        shell.syncs += 1
         # regularise: the monomial basis may be numerically rank-deficient
         eps = 1e-14 * max(float(np.trace(G)) / (s + 1), 1e-300)
         k_eff = s
@@ -113,7 +85,7 @@ def s_step_gmres(A, b: np.ndarray, *, M=None, s: int = 6,
             Q = P @ Rinv
         else:
             Q, R = np.linalg.qr(P)               # rare fallback (1 sync)
-            syncs += 1
+            shell.syncs += 1
 
         # ---- the Arnoldi-like relation --------------------------------
         # op P[:, :s] = θ P[:, 1:s+1]  ⇒  op Q R[:, :s] = θ Q R[:, 1:]
@@ -126,24 +98,8 @@ def s_step_gmres(A, b: np.ndarray, *, M=None, s: int = 6,
         k = k_eff
         y, *_ = np.linalg.lstsq(H[: k + 1, :k], g[: k + 1], rcond=None)
         x = x + M_mul(Q[:, :k] @ y)
-        total_it += k
-        est = float(np.linalg.norm(g[: k + 1] - H[: k + 1, :k] @ y))
-        residuals.append(est / bnorm)
-        prof.iteration(total_it, est / bnorm)
-        if health is not None:
-            health.observe(total_it, est / bnorm, x)
-        if callback is not None:
-            callback(total_it, residuals[-1])
-        if total_it >= maxiter:
-            rtrue = float(np.linalg.norm(b - A_mul(x)))
-            residuals[-1] = rtrue / bnorm
-            prof.iteration(total_it, rtrue / bnorm, corrected=True)
-            return KrylovResult(x=x, iterations=total_it,
-                                residuals=residuals,
-                                converged=rtrue <= target,
-                                global_syncs=syncs,
-                                profile=prof.as_dict())
-    return KrylovResult(x=x, iterations=total_it, residuals=residuals,
-                        converged=residuals[-1] * bnorm
-                        <= target * (1 + 1e-12),
-                        global_syncs=syncs, profile=prof.as_dict())
+        shell.report(float(np.linalg.norm(g[: k + 1] - H[: k + 1, :k] @ y)),
+                     steps=k)
+        return x
+
+    return shell.run(cycle)

@@ -31,11 +31,10 @@ restores what after a repair — lives in :mod:`repro.core.spmd_ft`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..common.errors import ReproError
+from ..krylov.cycle import KrylovState
 
 #: tag bases, above the spmd layer's 11-13k and the coarse solver's 40k+q
 TAG_CKPT_SETUP = 14_000
@@ -64,20 +63,6 @@ def partner_map(dec) -> list[int]:
                    key=lambda j: (-len(sub.shared[j]), j))
         partners.append(int(best))
     return partners
-
-
-@dataclass
-class IterateCheckpoint:
-    """One rank's Krylov state at a cycle boundary."""
-
-    cycle: int
-    k: int                          # total iterations completed
-    x: np.ndarray                   # local iterate
-    residuals: list = field(default_factory=list)
-
-    def copy(self) -> "IterateCheckpoint":
-        return IterateCheckpoint(self.cycle, self.k, self.x.copy(),
-                                 list(self.residuals))
 
 
 def setup_payload(rank) -> dict:
@@ -115,7 +100,7 @@ class CheckpointStore:
         #: client rank -> setup blob held on their behalf
         self.held_setup: dict[int, dict] = {}
         #: client rank -> latest iterate checkpoint
-        self.held_iter: dict[int, IterateCheckpoint] = {}
+        self.held_iter: dict[int, KrylovState] = {}
         #: checkpoints this rank produced (for overhead accounting)
         self.ticks = 0
 
@@ -137,7 +122,7 @@ class CheckpointStore:
             if affected is None or me in affected or c in affected:
                 self.held_setup[c] = comm.recv(c, TAG_CKPT_SETUP)
 
-    def tick(self, ckpt: IterateCheckpoint) -> None:
+    def tick(self, ckpt: KrylovState) -> None:
         """One iterate-checkpoint exchange (call at a cycle boundary on
         EVERY rank; the schedule is collective)."""
         comm = self.comm
@@ -146,7 +131,7 @@ class CheckpointStore:
                    self.partner, TAG_CKPT_ITER)
         for c in self.clients:
             d = comm.recv(c, TAG_CKPT_ITER)
-            self.held_iter[c] = IterateCheckpoint(
+            self.held_iter[c] = KrylovState(
                 d["cycle"], d["k"], d["x"], d["residuals"])
         self.ticks += 1
 
@@ -168,9 +153,9 @@ class CheckpointStore:
                          "residuals": list(ck.residuals)},
                         client, TAG_RESTORE_ITER)
 
-    def fetch_iter(self) -> IterateCheckpoint:
+    def fetch_iter(self) -> KrylovState:
         d = self.comm.recv(self.partner, TAG_RESTORE_ITER)
-        return IterateCheckpoint(d["cycle"], d["k"], d["x"], d["residuals"])
+        return KrylovState(d["cycle"], d["k"], d["x"], d["residuals"])
 
 
 # ----------------------------------------------------------------------

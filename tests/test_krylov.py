@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import ConvergenceError, KrylovError
 from repro.fem import FunctionSpace, assemble_load, assemble_stiffness, restrict_to_free
-from repro.krylov import cg, gmres, p1_gmres
+from repro.krylov import cg, fgmres, gmres, p1_gmres, s_step_gmres
 from repro.mesh import unit_square
 
 
@@ -230,3 +230,77 @@ class TestIterationEvents:
         assert r.converged
         assert not prof.recorder.enabled
         assert not prof.recorder.events
+
+
+class _Counting:
+    """Operator wrapper counting its applications."""
+
+    def __init__(self, A):
+        self.A, self.calls = A, 0
+
+    def __call__(self, v):
+        self.calls += 1
+        return self.A @ v
+
+
+@pytest.fixture(scope="module")
+def tridiagonal():
+    """200-dof tridiagonal system that needs ~30 GMRES(5) cycles."""
+    n = 200
+    A = sp.diags([-np.ones(n - 1), 2.05 * np.ones(n), -np.ones(n - 1)],
+                 [-1, 0, 1], format="csr")
+    return A, np.ones(n)
+
+
+def _cycles(r, restart):
+    # every cycle but the last runs the full restart length
+    return -(-r.iterations // restart)
+
+
+class TestRestartEngine:
+    """The restart shell shared by the GMRES drivers computes one true
+    residual per cycle boundary and counts each boundary norm as one
+    global synchronisation."""
+
+    @pytest.mark.parametrize("driver", [gmres, fgmres])
+    def test_one_matvec_per_boundary(self, tridiagonal, driver):
+        A, b = tridiagonal
+        op = _Counting(A)
+        r = driver(op, b, tol=1e-8, restart=5, maxiter=2000)
+        cycles = _cycles(r, 5)
+        assert r.converged and cycles > 20
+        assert op.calls == r.iterations + cycles + 1
+
+    @pytest.mark.parametrize("driver", [gmres, fgmres])
+    def test_sync_rule_classical(self, tridiagonal, driver):
+        A, b = tridiagonal
+        r = driver(A, b, tol=1e-8, restart=5, maxiter=2000)
+        # MGS: one dot batch + one norm per step; one norm per boundary
+        assert r.global_syncs == 2 * r.iterations + _cycles(r, 5) + 1
+
+    def test_sync_rule_pipelined(self, tridiagonal):
+        A, b = tridiagonal
+        r = p1_gmres(A, b, tol=1e-8, restart=5, maxiter=2000)
+        assert r.converged
+        # the per-step reductions are overlapped; only boundaries block
+        assert r.global_syncs == _cycles(r, 5) + 1
+        assert r.overlapped_reductions > r.iterations
+
+    def test_s_step_final_entry_is_true_residual(self, tridiagonal):
+        A, b = tridiagonal
+        r = s_step_gmres(A, b, s=4, tol=1e-8, maxiter=2000)
+        cycles = r.iterations // 4
+        assert r.converged and cycles > 1
+        true = np.linalg.norm(b - A @ r.x) / np.linalg.norm(b)
+        assert r.residuals[-1] == pytest.approx(true, rel=1e-12)
+        # initial residual, then per cycle its estimate and (except at
+        # the converged boundary, which replaces it) the true residual
+        assert len(r.residuals) == 2 * cycles
+
+    def test_stall_keeps_estimate(self, tridiagonal):
+        """An exhausted budget returns unconverged without touching the
+        history: its last entry is the cycle's own estimate."""
+        A, b = tridiagonal
+        r = gmres(A, b, tol=1e-12, restart=5, maxiter=12)
+        assert not r.converged and r.iterations == 12
+        assert len(r.residuals) == 1 + 12 + 2
