@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..common.errors import ReproError, SymmetryError
-from ..core.adef import TwoLevelADEF1, TwoLevelADEF2, TwoLevelBNN
+from ..core.adef import TwoLevel
 from ..core.coarse import CoarseOperator
 from ..core.solver import SolveReport
 from ..krylov import SolveProfiler, gmres
@@ -250,14 +250,12 @@ class SolveSession:
                                                      "coarse_strategy",
                                                      None))
         base = solver.preconditioner
-        if isinstance(base, (TwoLevelADEF1, TwoLevelADEF2, TwoLevelBNN)):
-            cls = type(base)
-            one_level = base.ras if hasattr(base, "ras") else base.one_level
+        if isinstance(base, TwoLevel):
+            one_level, kind = base.one_level, base.kind
         else:
             # a one-level solver gains a coarse level made purely of
             # recycled Ritz vectors — the a-posteriori construction of
             # the paper's outlook (core/ritz.py), fed by real solves
-            cls = TwoLevelADEF1
-            one_level = solver.one_level
+            one_level, kind = solver.one_level, "adef1"
         self._coarse = coarse
-        self._preconditioner = cls(one_level, coarse)
+        self._preconditioner = TwoLevel(one_level, coarse, kind=kind)

@@ -263,9 +263,18 @@ def _solve_batched(args, solver, recorder) -> int:
 
 
 def cmd_backends(args) -> int:
-    from .kernels import ENV_VAR, available_backends
     import os
-    selected = os.environ.get(ENV_VAR) or "numpy"
+    from .core.coarse_strategies import (
+        ENV_VAR as STRAT_ENV,
+        get_strategy,
+        strategy_names,
+    )
+    from .kernels import ENV_VAR, available_backends, get_backend
+    try:
+        selected = get_backend(None).name
+        strategy = get_strategy(None).name
+    except ReproError as exc:
+        raise SystemExit(f"error: {exc}")
     rows = []
     for name, cap in available_backends().items():
         rows.append([name,
@@ -273,16 +282,12 @@ def cmd_backends(args) -> int:
                      cap.get("precision", "-"),
                      "yes" if cap.get("compiled") else "no",
                      "; ".join(cap.get("notes", [])) or
-                     ("default" if name == selected else "")])
+                     ("selected" if name == selected else "")])
     print(table(["backend", "available", "precision", "compiled", "notes"],
                 rows, title="repro kernel backends"))
     print(f"\nselection: --backend flag > ${ENV_VAR} "
-          f"(currently {os.environ.get(ENV_VAR) or 'unset'}) > numpy")
-    from .core.coarse_strategies import (
-        ENV_VAR as STRAT_ENV,
-        get_strategy,
-        strategy_names,
-    )
+          f"(currently {os.environ.get(ENV_VAR) or 'unset'}) > default; "
+          f"selected: {selected}")
     srows = []
     for name in strategy_names():
         row = get_strategy(name).describe()
@@ -291,7 +296,8 @@ def cmd_backends(args) -> int:
     print(table(["strategy", "exact"], srows,
                 title="repro coarse-solve strategies"))
     print(f"\nselection: --coarse-strategy flag > ${STRAT_ENV} "
-          f"(currently {os.environ.get(STRAT_ENV) or 'unset'}) > dense")
+          f"(currently {os.environ.get(STRAT_ENV) or 'unset'}) > default; "
+          f"selected: {strategy}")
     return 0
 
 
@@ -541,9 +547,9 @@ def make_parser() -> argparse.ArgumentParser:
                          "$REPRO_KERNEL_BACKEND or numpy — see "
                          "`repro backends` and docs/performance.md)")
     ps.add_argument("--coarse-strategy", default="",
-                    help="how the coarse problem is solved (dense, "
-                         "sparse, multilevel; empty = "
-                         "$REPRO_COARSE_STRATEGY or dense — "
+                    help="how the coarse problem is solved (sparse, "
+                         "multilevel; empty = "
+                         "$REPRO_COARSE_STRATEGY or sparse — "
                          "multilevel pairs with --krylov fgmres; see "
                          "docs/performance.md)")
     ps.add_argument("--coarse-space", default="",

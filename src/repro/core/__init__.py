@@ -2,7 +2,7 @@
 machinery of §3, and the one-/two-level Schwarz preconditioners."""
 
 from .abstract import AbstractDeflation, nonoverlapping_pattern
-from .adef import TwoLevelADEF1, TwoLevelADEF2, TwoLevelBNN
+from .adef import TwoLevel, TwoLevelADEF1
 from .coarse import (
     CoarseOperator,
     assemble_az,
@@ -15,7 +15,6 @@ from .coarse import (
 )
 from .coarse_strategies import (
     CoarseSolveStrategy,
-    DenseStrategy,
     MultilevelCoarseSolve,
     MultilevelStrategy,
     SparseStrategy,
@@ -50,9 +49,8 @@ __all__ = [
     "SolveReport",
     "OneLevelRAS",
     "OneLevelASM",
+    "TwoLevel",
     "TwoLevelADEF1",
-    "TwoLevelADEF2",
-    "TwoLevelBNN",
     "CoarseOperator",
     "DeflationSpace",
     "coarse_blocks",
@@ -63,7 +61,6 @@ __all__ = [
     "elect_masters_nonuniform",
     "split_ranges",
     "CoarseSolveStrategy",
-    "DenseStrategy",
     "SparseStrategy",
     "MultilevelStrategy",
     "MultilevelCoarseSolve",

@@ -24,11 +24,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..common.errors import CoarseSolveError, DecompositionError
-from ..dd.decomposition import Decomposition
 from ..parallel import ParallelConfig, parallel_map
-from ..solvers import factorize
 from .coarse_strategies import get_strategy
-from .coarse_strategies.direct import _PseudoInverse, coo_from_blocks
+from .coarse_strategies.direct import _PseudoInverse, csr_from_blocks
 from .deflation import DeflationSpace
 
 
@@ -83,18 +81,12 @@ def coarse_blocks(space: DeflationSpace,
     return coarse_blocks_with_T(space, parallel)[0]
 
 
-#: historical COO assembly route, kept under its old private name (the
-#: ``dense`` strategy's bitwise-reference path lives in
-#: :mod:`repro.core.coarse_strategies.direct`)
-_matrix_from_blocks = coo_from_blocks
-
-
 def assemble_coarse_matrix(space: DeflationSpace,
                            parallel: ParallelConfig | str | None = None,
                            ) -> sp.csr_matrix:
     """Sparse E from the block dictionary (global CSR, the masters'
     distributed format in §3.1.1 — here sequential)."""
-    return _matrix_from_blocks(space, coarse_blocks(space, parallel))
+    return csr_from_blocks(space, coarse_blocks(space, parallel))
 
 
 def assemble_az(space: DeflationSpace,
@@ -106,19 +98,7 @@ def assemble_az(space: DeflationSpace,
     V_i^δ and A Z = Σ_i R_iᵀ T_i exactly — block column i of A·Z is T_i
     scattered to subdomain i's rows.  Same sparsity as Z itself (fig. 3).
     """
-    dec = space.dec
-    rows, cols, vals = [], [], []
-    for i, (Ti, s) in enumerate(zip(T, dec.subdomains)):
-        r = np.repeat(s.dofs, Ti.shape[1])
-        c = np.tile(np.arange(space.offsets[i], space.offsets[i + 1]),
-                    s.size)
-        rows.append(r)
-        cols.append(c)
-        vals.append(Ti.ravel())
-    return sp.csr_matrix(
-        (np.concatenate(vals),
-         (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dec.problem.num_free, space.m))
+    return space.scatter_columns(T)
 
 
 # ----------------------------------------------------------------------
@@ -171,9 +151,7 @@ class CoarseOperator:
     Setup also caches the ``T_i = A_i W_i`` blocks already computed for
     the E assembly, both per subdomain (:attr:`T`) and as the assembled
     sparse :attr:`AZ` — so the solve phase computes ``A Z y`` with one
-    spmv (or per-subdomain gemvs + overlap exchange in the distributed
-    form, :meth:`az_dot_blocks`) instead of a global SpMV every
-    iteration.
+    spmv instead of a global SpMV every iteration.
 
     Parameters
     ----------
@@ -196,11 +174,11 @@ class CoarseOperator:
         the resilience path).  When given, the deflation space's CSR
         products are routed through the same backend.
     strategy:
-        How E y = w is solved — a registry name (``"dense"``,
-        ``"sparse"``, ``"multilevel"``) or a ready
+        How E y = w is solved — a registry name (``"sparse"``,
+        ``"multilevel"``) or a ready
         :class:`~repro.core.coarse_strategies.CoarseSolveStrategy`
         instance.  ``None`` resolves ``$REPRO_COARSE_STRATEGY`` and
-        falls back to the bitwise-reference ``dense`` strategy.  See
+        falls back to the exact ``sparse`` strategy.  See
         :mod:`repro.core.coarse_strategies`.
     """
 
@@ -220,7 +198,7 @@ class CoarseOperator:
         self._backend = backend
         with self.recorder.span("assemble_E"):
             blocks, T = coarse_blocks_with_T(space, parallel)
-            self.E = self.strategy.assemble(space, blocks)
+            self.E = csr_from_blocks(space, blocks)
         #: cached T_i = A_i W_i blocks (block column i of A·Z)
         self.T = T
         with self.recorder.span("assemble_AZ"):
@@ -256,30 +234,6 @@ class CoarseOperator:
         self.resilient = False
         #: number of times the pseudo-inverse fallback was taken
         self.fallbacks = 0
-
-    def _robust_factorize(self, backend: str, rank_tol: float):
-        """Factorise E, falling back to a rank-revealing pseudo-inverse.
-
-        Deflation vectors can be (numerically) linearly dependent — e.g.
-        near-kernel clusters living inside an overlap are found by both
-        neighbouring subdomains — which makes E singular.  The theory
-        only needs E⁻¹ on range(Zᵀ·), so a truncated eigendecomposition
-        is the correct and stable generalisation (what MUMPS' null-pivot
-        detection provides the paper)."""
-        try:
-            fact = factorize(self.E, backend)
-            # quick health check: a factorization of a singular E may
-            # silently produce garbage — verify one solve
-            rng = np.random.default_rng(0)
-            w = rng.standard_normal(self.E.shape[0])
-            y = fact.solve(w)
-            resid = np.linalg.norm(self.E @ y - w)
-            if np.isfinite(resid) and resid <= 1e-6 * np.linalg.norm(w):
-                return fact
-        except Exception:  # noqa: BLE001 - any backend failure → fallback
-            pass
-        self.rank_deficient = True
-        return _PseudoInverse(self.E, rank_tol)
 
     @property
     def dim(self) -> int:
@@ -388,13 +342,6 @@ class CoarseOperator:
         y = self.solve(w)
         return self.space.z_dot(y)
 
-    def correction_blocks(self, u: np.ndarray) -> np.ndarray:
-        """Per-block (pre-assembly) form of :meth:`correction` — the
-        distributed/SPMD semantics, kept as the reference path."""
-        w = self.space.zt_dot_blocks(u)
-        y = self.solve(w)
-        return self.space.z_dot_blocks(y)
-
     def correction_block(self, U: np.ndarray) -> np.ndarray:
         """Z E⁻¹ Zᵀ U for a column block — still one coarse solve."""
         W = self.space.zt_dot_block(U)
@@ -405,14 +352,6 @@ class CoarseOperator:
         """A Z y via the cached :attr:`AZ` — one spmv, zero global SpMVs
         and zero overlap exchanges (the A-DEF1 fast path)."""
         return self.kernels.spmv(self.AZ, y)
-
-    def az_dot_blocks(self, y: np.ndarray) -> np.ndarray:
-        """Distributed form of :meth:`az_dot`: per-subdomain gemvs
-        ``T_i y_i`` followed by the overlap sum Σ_i R_iᵀ(T_i y_i) — the
-        communication of one neighbour exchange, still no global SpMV."""
-        off = self.space.offsets
-        t_list = [Ti @ y[off[i]:off[i + 1]] for i, Ti in enumerate(self.T)]
-        return self.space.dec.combine_raw(t_list)
 
     def nnz_factor(self) -> int:
         """Fill of the factors — the paper's nnz(E⁻¹) column (fig. 11)."""

@@ -3,13 +3,9 @@
 "How the coarse problem E y = w is solved" is a strategy chosen per
 coarse operator:
 
-``dense``
-    The reference exact factorisation (bitwise-identical to the
-    historical path); at scale this is the paper's dense distributed
-    Cholesky on the masters — the scaling wall.
 ``sparse``
-    One-pass CSR assembly from the neighbour-block structure + sparse
-    direct factorisation (connectivity-bounded fill).
+    The exact default: sparse direct factorisation of the CSR-assembled
+    E (connectivity-bounded fill).
 ``multilevel``
     The method applied to itself: level-2 RAS + Nicolaides/GenEO on
     the subdomain-connectivity graph of E, solved inexactly by a few
@@ -23,7 +19,7 @@ Selection order for :func:`get_strategy`:
    instance (instances carry options, e.g.
    ``MultilevelStrategy(inner_iters=4)``);
 2. the ``REPRO_COARSE_STRATEGY`` environment variable;
-3. the reference ``"dense"`` strategy.
+3. the exact ``"sparse"`` strategy.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ import os
 
 from ...common.errors import ReproError
 from .base import CoarseSolveStrategy
-from .direct import DenseStrategy, SparseStrategy, csr_from_blocks
+from .direct import SparseStrategy, csr_from_blocks
 from .multilevel import MultilevelCoarseSolve, MultilevelStrategy
 
 ENV_VAR = "REPRO_COARSE_STRATEGY"
@@ -59,12 +55,12 @@ def strategy_names() -> list[str]:
 
 def get_strategy(spec=None) -> CoarseSolveStrategy:
     """Resolve a coarse-solve strategy (argument →
-    ``$REPRO_COARSE_STRATEGY`` → ``"dense"``).  A ready
+    ``$REPRO_COARSE_STRATEGY`` → ``"sparse"``).  A ready
     :class:`~repro.core.coarse_strategies.base.CoarseSolveStrategy`
     instance passes through unchanged."""
     if isinstance(spec, CoarseSolveStrategy):
         return spec
-    resolved = spec or os.environ.get(ENV_VAR) or "dense"
+    resolved = spec or os.environ.get(ENV_VAR) or "sparse"
     if resolved not in _STRATEGIES:
         raise ReproError(
             f"unknown coarse strategy {resolved!r}; "
@@ -72,13 +68,11 @@ def get_strategy(spec=None) -> CoarseSolveStrategy:
     return _STRATEGIES[resolved]()
 
 
-register_strategy("dense", DenseStrategy)
 register_strategy("sparse", SparseStrategy)
 register_strategy("multilevel", MultilevelStrategy)
 
 __all__ = [
     "CoarseSolveStrategy",
-    "DenseStrategy",
     "SparseStrategy",
     "MultilevelStrategy",
     "MultilevelCoarseSolve",

@@ -1,18 +1,13 @@
 """The :class:`CoarseSolveStrategy` contract.
 
 A strategy answers one question — *how is the coarse problem E y = w
-solved?* — decoupled from how E is applied in the correction (which the
-:class:`~repro.core.coarse.CoarseOperator` owns).  Three built-ins ship
-with the registry (:mod:`repro.core.coarse_strategies`):
+solved?* — decoupled from how E is assembled and applied in the
+correction (which the :class:`~repro.core.coarse.CoarseOperator` owns).
+Two built-ins ship with the registry (:mod:`repro.core.coarse_strategies`):
 
-``dense``
-    The reference: the exact factorisation path the repo has always
-    used, kept bitwise-identical (the paper's dense distributed direct
-    solve on the masters is its at-scale realisation).
 ``sparse``
-    E assembled straight into CSR from the neighbour-block structure
-    and factorised sparsely — the fill of the factors follows the
-    subdomain connectivity instead of dim(E)².
+    The exact default: E factorised sparsely — the fill of the factors
+    follows the subdomain connectivity instead of dim(E)².
 ``multilevel``
     The method applied to itself: E is partitioned into second-level
     subdomains, preconditioned by a level-2 RAS + Nicolaides/GenEO
@@ -32,9 +27,7 @@ from __future__ import annotations
 class CoarseSolveStrategy:
     """How a :class:`~repro.core.coarse.CoarseOperator` solves E y = w.
 
-    Subclasses implement :meth:`build`; :meth:`assemble` may be
-    overridden to change how the block dictionary becomes the stored E
-    (the dense reference keeps the historical COO route bitwise).
+    Subclasses implement :meth:`build`.
     """
 
     #: registry name
@@ -42,12 +35,6 @@ class CoarseSolveStrategy:
     #: True when ``build`` returns a direct (fixed linear) solve — the
     #: reduced-precision kernel mirrors only apply to exact strategies
     exact = True
-
-    def assemble(self, space, blocks):
-        """CSR E from the block dictionary.  Default: the direct
-        row-block CSR assembly (no duplicate summing pass)."""
-        from .direct import csr_from_blocks
-        return csr_from_blocks(space, blocks)
 
     def build(self, coarse, backend: str, rank_tol: float):
         """Return the solve handle for *coarse* (a built

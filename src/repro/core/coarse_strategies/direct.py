@@ -1,21 +1,14 @@
-"""Exact (direct-factorisation) coarse solve strategies.
-
-``dense`` is the reference path the repo has always used — the block
-dictionary goes through the historical COO assembly and the
-factorization is delegated back to
-:meth:`~repro.core.coarse.CoarseOperator._robust_factorize`, so it is
-bitwise-identical to the pre-strategy implementation.  Its at-scale
-realisation is the paper's dense distributed Cholesky on the masters
-(:class:`repro.solvers.distributed.DistributedCholesky`) — the O(dim³)
-factorization whose panel broadcasts stop scaling past ~hundreds of
-ranks.
+"""The exact (direct-factorisation) coarse solve strategy.
 
 ``sparse`` assembles E straight into CSR row blocks from the
 neighbour-block structure (one pass, no duplicate summing) and
 factorises it sparsely: the fill of the factors follows the subdomain
 connectivity graph — O(nnz(L)) instead of O(dim²) memory — which is the
 regime a distributed *sparse* direct solver (MUMPS on masterComm) would
-occupy.
+occupy.  The paper's dense distributed Cholesky on the masters is
+:class:`repro.solvers.distributed.DistributedCholesky` (and the
+``"dense"`` cost model of :mod:`repro.perfmodel.coarse_costs`); it is
+not a strategy of this registry.
 """
 
 from __future__ import annotations
@@ -28,27 +21,8 @@ from .base import CoarseSolveStrategy
 
 
 # ----------------------------------------------------------------------
-# Assembly routes
+# Assembly
 # ----------------------------------------------------------------------
-
-def coo_from_blocks(space, blocks) -> sp.csr_matrix:
-    """The historical COO route: every block entry becomes a triplet,
-    duplicates summed by scipy.  Kept verbatim — the ``dense``
-    strategy's E must stay bitwise-identical to the reference."""
-    off = space.offsets
-    rows, cols, vals = [], [], []
-    for (i, j), blk in blocks.items():
-        r = np.repeat(np.arange(off[i], off[i + 1]), blk.shape[1])
-        c = np.tile(np.arange(off[j], off[j + 1]), blk.shape[0])
-        rows.append(r)
-        cols.append(c)
-        vals.append(blk.ravel())
-    E = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.m, space.m))
-    E.sum_duplicates()
-    return E
-
 
 def csr_from_blocks(space, blocks) -> sp.csr_matrix:
     """Direct CSR assembly from the neighbour-block structure.
@@ -57,9 +31,8 @@ def csr_from_blocks(space, blocks) -> sp.csr_matrix:
     the CSR rows can be written in one pass: row block i holds the
     horizontally-stacked blocks of its sorted neighbour columns.  No
     COO expansion of per-entry coordinates, no duplicate-summing pass —
-    the peak memory is the CSR itself.  The stored values are
-    identical to :func:`coo_from_blocks` (same floats, same canonical
-    ordering); only the construction route differs.
+    the peak memory is the CSR itself, in canonical (sorted-index)
+    form.
     """
     off = space.offsets
     nu = space.nu
@@ -129,49 +102,30 @@ class _PseudoInverse:
         return self._V @ scaled
 
 
-def probe_direct(fact, E) -> bool:
-    """One-solve health check of a direct factorization of E — a
-    factorization of a singular E may silently produce garbage."""
-    rng = np.random.default_rng(0)
-    w = rng.standard_normal(E.shape[0])
-    y = fact.solve(w)
-    resid = np.linalg.norm(E @ y - w)
-    return bool(np.isfinite(resid)
-                and resid <= 1e-6 * np.linalg.norm(w))
-
-
 def robust_direct(coarse, backend: str, rank_tol: float):
     """Factorise ``coarse.E`` directly, degrading to the truncated
     pseudo-inverse when the factorization fails or fails its probe
-    (numerically dependent deflation vectors make E singular)."""
+    (numerically dependent deflation vectors make E singular).  The
+    probe is one solve against a seeded vector — a factorization of a
+    singular E may silently produce garbage.  The theory only needs E⁻¹
+    on range(Zᵀ·), so the truncated decomposition is the stable
+    generalisation (what MUMPS' null-pivot detection gives the paper)."""
+    E = coarse.E
     try:
-        fact = factorize(coarse.E, backend)
-        if probe_direct(fact, coarse.E):
+        fact = factorize(E, backend)
+        w = np.random.default_rng(0).standard_normal(E.shape[0])
+        resid = np.linalg.norm(E @ fact.solve(w) - w)
+        if np.isfinite(resid) and resid <= 1e-6 * np.linalg.norm(w):
             return fact
     except Exception:  # noqa: BLE001 - any backend failure → fallback
         pass
     coarse.rank_deficient = True
-    return _PseudoInverse(coarse.E, rank_tol)
+    return _PseudoInverse(E, rank_tol)
 
 
 # ----------------------------------------------------------------------
-# The strategies
+# The strategy
 # ----------------------------------------------------------------------
-
-class DenseStrategy(CoarseSolveStrategy):
-    """The reference exact factorisation (bitwise-identical)."""
-
-    name = "dense"
-    exact = True
-
-    def assemble(self, space, blocks):
-        return coo_from_blocks(space, blocks)
-
-    def build(self, coarse, backend: str, rank_tol: float):
-        # delegate to the historical method so the reference path stays
-        # bitwise-identical (pinned by tests/test_coarse_strategies.py)
-        return coarse._robust_factorize(backend, rank_tol)
-
 
 class SparseStrategy(CoarseSolveStrategy):
     """Sparse-direct: one-pass CSR assembly + sparse factorisation."""
@@ -179,10 +133,5 @@ class SparseStrategy(CoarseSolveStrategy):
     name = "sparse"
     exact = True
 
-    def __init__(self, backend: str | None = None):
-        #: optional factorization-method override (None → the coarse
-        #: operator's ``backend`` argument, superlu by default)
-        self.backend = backend
-
     def build(self, coarse, backend: str, rank_tol: float):
-        return robust_direct(coarse, self.backend or backend, rank_tol)
+        return robust_direct(coarse, backend, rank_tol)

@@ -4,10 +4,8 @@ Z = [R₁ᵀW₁ R₂ᵀW₂ … R_NᵀW_N] is block-sparse: one dense ``n_i × 
 block per subdomain, rows overlapping where dofs are duplicated.  The
 sequential driver assembles Z (and its transpose) as CSR **once** so
 every ``Zᵀu`` / ``Zy`` of the solve phase is a single spmv instead of an
-N-element Python loop of gemvs; the per-block forms (``zt_dot_blocks``,
-``z_dot_blocks``, ``z_dot_local``) remain the distributed semantics used
-by the SPMD/simmpi driver and the reference-path tests (§3.2 steps 1
-and 3 literally).
+N-element Python loop of gemvs.  The SPMD/simmpi driver
+(:mod:`repro.core.spmd`) keeps its own per-rank W_i products.
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ class DeflationSpace:
     def Z(self) -> sp.csr_matrix:
         """Sparse Z (n_free × m), assembled lazily and cached."""
         if self._Z is None:
-            self._Z = self._assemble_z()
+            self._Z = self.scatter_columns(self.W)
         return self._Z
 
     @property
@@ -69,16 +67,20 @@ class DeflationSpace:
             self._Zt = self.Z.T.tocsr()
         return self._Zt
 
-    def _assemble_z(self) -> sp.csr_matrix:
+    def scatter_columns(self, blocks: list[np.ndarray]) -> sp.csr_matrix:
+        """Sparse ``n_free × m`` matrix whose block column i is
+        ``R_iᵀ blocks[i]`` — one ``n_i × ν_i`` block per subdomain, rows
+        overlapping where dofs are duplicated.  The W_i blocks give Z;
+        the ``T_i = A_i W_i`` blocks give A·Z."""
         dec = self.dec
         rows, cols, vals = [], [], []
-        for i, (W, s) in enumerate(zip(self.W, dec.subdomains)):
-            r = np.repeat(s.dofs, W.shape[1])
+        for i, (B, s) in enumerate(zip(blocks, dec.subdomains)):
+            r = np.repeat(s.dofs, B.shape[1])
             c = np.tile(np.arange(self.offsets[i], self.offsets[i + 1]),
                         s.size)
             rows.append(r)
             cols.append(c)
-            vals.append(W.ravel())
+            vals.append(B.ravel())
         return sp.csr_matrix(
             (np.concatenate(vals),
              (np.concatenate(rows), np.concatenate(cols))),
@@ -113,39 +115,6 @@ class DeflationSpace:
                 f"got {Y.shape}")
         Y = as_float64_block(Y, "z_dot_block", DecompositionError)
         return self.kernels.spmm(self.Z, Y)
-
-    # ------------------------------------------------------------------
-    # Per-block (distributed) forms — the SPMD semantics and the
-    # reference path of the solve-phase perf tests
-    # ------------------------------------------------------------------
-    def zt_dot_blocks(self, u: np.ndarray) -> np.ndarray:
-        """Per-block Zᵀu: each subdomain computes W_iᵀ u_i (gemv); the
-        concatenation is the coarse right-hand side."""
-        dec = self.dec
-        parts = [W.T @ u[s.dofs]
-                 for W, s in zip(self.W, dec.subdomains)]
-        return np.concatenate(parts)
-
-    def z_dot_blocks(self, y: np.ndarray) -> np.ndarray:
-        """Per-block Zy: z_i = W_i y_i locally, then the overlap sum
-        Σ_j R_iR_jᵀ z_j — same communication as one matvec (eq. 12)."""
-        if y.shape != (self.m,):
-            raise DecompositionError(
-                f"coarse vector must have shape ({self.m},), got {y.shape}")
-        dec = self.dec
-        z_list = [W @ y[self.offsets[i]:self.offsets[i + 1]]
-                  for i, W in enumerate(self.W)]
-        summed = dec.exchange_sum(z_list)
-        # read off the global vector: every subdomain now holds R_i(Zy);
-        # stitch through the partition of unity (values agree on overlaps)
-        return dec.combine(summed)
-
-    def z_dot_local(self, y: np.ndarray) -> list[np.ndarray]:
-        """Distributed form of :meth:`z_dot`: returns R_i(Zy) per rank."""
-        dec = self.dec
-        z_list = [W @ y[self.offsets[i]:self.offsets[i + 1]]
-                  for i, W in enumerate(self.W)]
-        return dec.exchange_sum(z_list)
 
     # ------------------------------------------------------------------
     def explicit_z(self) -> sp.csr_matrix:

@@ -52,7 +52,7 @@ from ..mesh import SimplexMesh
 from ..parallel import ParallelConfig, resolve_parallel, timed_map
 from ..partition import partition_mesh
 from ..resilience import HealthMonitor, as_injector, resolve_recovery
-from .adef import TwoLevelADEF1, TwoLevelADEF2, TwoLevelBNN
+from .adef import KINDS as TWO_LEVEL_KINDS, TwoLevel
 from .coarse import CoarseOperator
 from .coarse_strategies import get_strategy as get_coarse_strategy
 from .deflation import DeflationSpace
@@ -62,6 +62,10 @@ from .geneo import (
     resilient_deflation,
 )
 from .ras import OneLevelASM, OneLevelRAS
+
+#: the one-level preconditioners (the two-level ones are
+#: :data:`repro.core.adef.KINDS`)
+_ONE_LEVEL = ("ras", "asm")
 
 _KRYLOV = {
     "gmres": gmres,
@@ -121,8 +125,12 @@ class SchwarzSolver:
         Optional GenEO threshold (overrides pure-count selection).
     levels:
         1 → one-level RAS only; 2 → A-DEF1 two-level (default).
+        ``None`` derives it from *preconditioner*; a value that
+        contradicts an explicit *preconditioner* raises.
     preconditioner:
-        "adef1" (paper), "adef2", "bnn", or "ras"/"asm" (one-level).
+        "adef1" (paper), "adef2", "bnn" (two-level, see
+        :class:`~repro.core.adef.TwoLevel`), or "ras"/"asm"
+        (one-level).  ``None`` derives it from *levels*.
     krylov:
         "gmres" (paper), "p1-gmres" (§3.5), "cg", "fgmres", "sstep"
         (communication-avoiding s-step GMRES), or "deflated-cg"
@@ -165,10 +173,10 @@ class SchwarzSolver:
         *coarse_backend*, which pick the sparse factorization method.)
     coarse_strategy:
         How the coarse problem E y = w is solved — a registry name
-        (``"dense"``, ``"sparse"``, ``"multilevel"``) or a ready
+        (``"sparse"``, ``"multilevel"``) or a ready
         :class:`~repro.core.coarse_strategies.CoarseSolveStrategy`
         instance.  ``None`` resolves ``$REPRO_COARSE_STRATEGY`` and
-        falls back to the bitwise-reference ``dense`` strategy.  The
+        falls back to the exact ``sparse`` strategy.  The
         ``multilevel`` strategy is *inexact* — pair it with
         ``krylov="fgmres"`` (a warning is raised otherwise).
     coarse_space:
@@ -186,7 +194,7 @@ class SchwarzSolver:
 
     def __init__(self, mesh: SimplexMesh, form: Form, *,
                  num_subdomains: int, delta: int = 1, nev: int = 10,
-                 tau: float | None = None, levels: int = 2,
+                 tau: float | None = None, levels: int | None = None,
                  preconditioner: str | None = None,
                  krylov: str = "gmres", backend: str = "superlu",
                  coarse_backend: str = "superlu",
@@ -201,16 +209,23 @@ class SchwarzSolver:
                  recorder=None, faults=None, recovery=None,
                  kernel_backend: str | None = None):
         from ..obs.recorder import NULL_RECORDER
-        if levels not in (1, 2):
+        if levels not in (None, 1, 2):
             raise ReproError(f"levels must be 1 or 2, got {levels}")
         if preconditioner is None:
-            preconditioner = "adef1" if levels == 2 else "ras"
+            preconditioner = "ras" if levels == 1 else "adef1"
+        if preconditioner not in _ONE_LEVEL + TWO_LEVEL_KINDS:
+            raise ReproError(f"unknown preconditioner {preconditioner!r}")
+        implied = 1 if preconditioner in _ONE_LEVEL else 2
+        if levels not in (None, implied):
+            raise ReproError(
+                f"levels={levels} contradicts preconditioner="
+                f"{preconditioner!r}, a {implied}-level preconditioner")
         self.krylov_name = krylov
         if krylov not in _KRYLOV:
             raise ReproError(f"unknown krylov method {krylov!r}; "
                              f"expected one of {sorted(_KRYLOV)}")
-        if krylov == "deflated-cg" and preconditioner not in (
-                "adef1", "adef2", "bnn"):
+        if krylov == "deflated-cg" and \
+                preconditioner not in TWO_LEVEL_KINDS:
             raise ReproError(
                 "krylov='deflated-cg' needs the GenEO deflation basis — "
                 "use a two-level preconditioner (adef1/adef2/bnn), "
@@ -292,7 +307,7 @@ class SchwarzSolver:
 
         self.deflation: DeflationSpace | None = None
         self.coarse: CoarseOperator | None = None
-        if preconditioner in ("adef1", "adef2", "bnn"):
+        if preconditioner in TWO_LEVEL_KINDS:
             with self.timer.phase("deflation"):
                 ncomp = self.problem.space.ncomp
                 cs_builder = self._coarse_space_builder
@@ -335,19 +350,10 @@ class SchwarzSolver:
                                              recorder=self.recorder,
                                              kernels=self.kernels,
                                              strategy=self.coarse_strategy)
-            if preconditioner == "adef1":
-                self.preconditioner = TwoLevelADEF1(self.one_level,
-                                                    self.coarse)
-            elif preconditioner == "adef2":
-                self.preconditioner = TwoLevelADEF2(self.one_level,
-                                                    self.coarse)
-            else:
-                self.preconditioner = TwoLevelBNN(self.one_level,
-                                                  self.coarse)
-        elif preconditioner in ("ras", "asm"):
-            self.preconditioner = self.one_level
+            self.preconditioner = TwoLevel(self.one_level, self.coarse,
+                                           kind=preconditioner)
         else:
-            raise ReproError(f"unknown preconditioner {preconditioner!r}")
+            self.preconditioner = self.one_level
 
     # ------------------------------------------------------------------
     @property

@@ -216,6 +216,20 @@ class TestRecycling:
         assert not session.recycle_active
         assert session.coarse_dim == solver.coarse_dim
 
+    def test_recycled_bnn_stays_bnn(self):
+        """The rebuilt preconditioner keeps the solver's kind and its
+        one-level part: BNN over the same OneLevelASM."""
+        from repro.core import OneLevelASM, TwoLevel
+        s = _make_solver("cg")
+        session = s.session(recycle_dim=4)
+        rep = session.solve(s.problem.rhs(), tol=1e-8)
+        assert rep.converged and session.recycle_active
+        pre = session._preconditioner
+        assert isinstance(pre, TwoLevel) and pre.kind == "bnn"
+        assert isinstance(pre.one_level, OneLevelASM)
+        assert pre.one_level is s.one_level
+        assert pre.coarse is not s.coarse
+
     def test_recycle_false_keeps_base(self, solver):
         session = solver.session()
         b = solver.problem.rhs()

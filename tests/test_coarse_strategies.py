@@ -1,5 +1,5 @@
-"""Coarse-solve strategies: registry, bitwise reference, agreement,
-kernel-mirror guard, and the strategy-aware resilience degrade chain."""
+"""Coarse-solve strategies: registry, agreement, kernel-mirror guard,
+and the strategy-aware resilience degrade chain."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.common.errors import CoarseSolveError, ReproError
 from repro.core import (
     CoarseOperator,
     DeflationSpace,
-    DenseStrategy,
     MultilevelCoarseSolve,
     MultilevelStrategy,
     SparseStrategy,
@@ -50,15 +49,15 @@ def _solver(**kw):
 
 class TestRegistry:
     def test_builtin_names(self):
-        assert strategy_names() == ["dense", "multilevel", "sparse"]
+        assert strategy_names() == ["multilevel", "sparse"]
 
-    def test_default_is_dense(self, monkeypatch):
+    def test_default_is_sparse(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
-        assert isinstance(get_strategy(None), DenseStrategy)
+        assert isinstance(get_strategy(None), SparseStrategy)
 
     def test_env_var_resolution(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "sparse")
-        assert isinstance(get_strategy(None), SparseStrategy)
+        monkeypatch.setenv(ENV_VAR, "multilevel")
+        assert isinstance(get_strategy(None), MultilevelStrategy)
 
     def test_argument_beats_env(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "sparse")
@@ -72,11 +71,40 @@ class TestRegistry:
         with pytest.raises(ReproError, match="unknown coarse strategy"):
             get_strategy("nope")
 
+    @pytest.mark.parametrize("how", ["argument", "env"])
+    def test_dense_is_not_a_strategy(self, how, monkeypatch):
+        """The removed ``dense`` value is an unknown name like any other:
+        the error lists what remains."""
+        monkeypatch.setenv(ENV_VAR, "dense")
+        with pytest.raises(ReproError) as exc:
+            get_strategy("dense" if how == "argument" else None)
+        assert "['multilevel', 'sparse']" in str(exc.value)
+
     def test_describe(self):
-        assert get_strategy("dense").describe() == {"name": "dense",
-                                                    "exact": True}
+        assert get_strategy("sparse").describe() == {"name": "sparse",
+                                                     "exact": True}
         row = get_strategy("multilevel").describe()
         assert row["name"] == "multilevel" and row["exact"] is False
+
+
+class TestBackendsCLI:
+    """``repro backends`` names what the registries resolve to."""
+
+    def _selected(self, capsys):
+        from repro.cli import main
+        assert main(["backends"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        return [ln.rsplit("selected: ", 1)[1] for ln in lines
+                if "selected: " in ln]
+
+    def test_cleared_environment(self, monkeypatch, capsys):
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+        assert self._selected(capsys) == ["numpy", "sparse"]
+
+    def test_env_var(self, monkeypatch, capsys):
+        monkeypatch.setenv(ENV_VAR, "multilevel")
+        assert self._selected(capsys)[-1] == "multilevel"
 
 
 # ----------------------------------------------------------------------
@@ -87,35 +115,17 @@ class TestAgreement:
     @pytest.fixture(scope="class")
     def ops(self, space):
         return {name: CoarseOperator(space, strategy=name)
-                for name in ("dense", "sparse", "multilevel")}
-
-    def test_sparse_assembly_bitwise_matches_dense(self, ops):
-        Ed, Es = ops["dense"].E, ops["sparse"].E
-        assert np.array_equal(Ed.toarray(), Es.toarray())
-        # canonical CSR form too: same floats through a different route
-        Ed = Ed.copy()
-        Ed.sort_indices()
-        assert np.array_equal(Ed.indptr, Es.indptr)
-        assert np.array_equal(Ed.indices, Es.indices)
-        assert np.array_equal(Ed.data, Es.data)
-
-    def test_sparse_solve_bitwise_matches_dense(self, ops, rng):
-        w = rng.standard_normal(ops["dense"].dim)
-        assert np.array_equal(ops["dense"].solve(w), ops["sparse"].solve(w))
-
-    def test_block_solve_bitwise_dense_vs_sparse(self, ops, rng):
-        W = rng.standard_normal((ops["dense"].dim, 3))
-        assert np.array_equal(ops["dense"].solve(W), ops["sparse"].solve(W))
+                for name in ("sparse", "multilevel")}
 
     def test_multilevel_solve_agrees_to_tolerance(self, ops, rng):
-        w = rng.standard_normal(ops["dense"].dim)
-        ref = ops["dense"].solve(w)
+        w = rng.standard_normal(ops["sparse"].dim)
+        ref = ops["sparse"].solve(w)
         y = ops["multilevel"].solve(w)
         assert np.linalg.norm(y - ref) <= 1e-6 * np.linalg.norm(ref)
 
     def test_multilevel_block_solve_agrees(self, ops, rng):
-        W = rng.standard_normal((ops["dense"].dim, 3))
-        ref = ops["dense"].solve(W)
+        W = rng.standard_normal((ops["sparse"].dim, 3))
+        ref = ops["sparse"].solve(W)
         Y = ops["multilevel"].solve(W)
         assert Y.shape == ref.shape
         assert np.linalg.norm(Y - ref) <= 1e-6 * np.linalg.norm(ref)
@@ -139,26 +149,24 @@ class TestAgreement:
 # ----------------------------------------------------------------------
 
 class TestSolverPlumbing:
-    def test_outer_iterations_within_five_of_dense(self):
+    def test_outer_iterations_within_five_of_sparse(self):
         its = {}
-        for strat, kry in (("dense", "gmres"), ("sparse", "gmres"),
-                           ("multilevel", "fgmres")):
+        for strat, kry in (("sparse", "gmres"), ("multilevel", "fgmres")):
             s = _solver(coarse_strategy=strat, krylov=kry)
             r = s.solve(tol=1e-8)
             assert r.converged
             its[strat] = r.iterations
-        assert its["sparse"] == its["dense"]       # bitwise same solve
-        assert its["multilevel"] <= its["dense"] + 5
+        assert its["multilevel"] <= its["sparse"] + 5
 
     def test_inexact_with_rigid_krylov_warns(self):
         with pytest.warns(RuntimeWarning, match="flexible"):
             _solver(coarse_strategy="multilevel", krylov="gmres")
 
     def test_env_var_reaches_solver(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "sparse")
-        s = _solver()
-        assert s.coarse_strategy.name == "sparse"
-        assert s.coarse.strategy.name == "sparse"
+        monkeypatch.setenv(ENV_VAR, "multilevel")
+        s = _solver(krylov="fgmres")
+        assert s.coarse_strategy.name == "multilevel"
+        assert s.coarse.strategy.name == "multilevel"
 
     def test_gauges_recorded(self, space):
         from repro.obs import Recorder

@@ -3,17 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.common.errors import ReproError
 from repro.core import (
     CoarseOperator,
     DeflationSpace,
     OneLevelASM,
     OneLevelRAS,
+    TwoLevel,
     TwoLevelADEF1,
-    TwoLevelADEF2,
-    TwoLevelBNN,
     compute_deflation,
 )
+from repro.dd import Decomposition
+from repro.kernels import get_backend
 from repro.krylov import cg, gmres
+from repro.partition import partition_mesh
 
 
 @pytest.fixture(scope="module")
@@ -64,30 +67,12 @@ class TestOneLevel:
 
 
 class TestADEF1Identities:
-    def test_coarse_space_reproduced(self, stack, rng):
-        """P⁻¹_A-DEF1 A Z y = Z y: the preconditioned operator acts as the
-        identity on the coarse space (the deflation property)."""
-        dec, ras, space, coarse = stack
-        pre = TwoLevelADEF1(ras, coarse)
-        A = dec.problem.matrix()
-        y = rng.standard_normal(space.m)
-        Zy = space.explicit_z() @ y
-        out = pre.apply(A @ Zy)
-        assert np.allclose(out, Zy, atol=1e-8 * max(abs(Zy).max(), 1e-30))
-
     def test_one_coarse_solve_per_application(self, stack, rng):
         dec, ras, space, coarse = stack
         pre = TwoLevelADEF1(ras, coarse)
         before = coarse.solves
         pre.apply(rng.standard_normal(dec.problem.num_free))
         assert coarse.solves - before == 1
-
-    def test_adef2_two_coarse_solves(self, stack, rng):
-        dec, ras, space, coarse = stack
-        pre = TwoLevelADEF2(ras, coarse)
-        before = coarse.solves
-        pre.apply(rng.standard_normal(dec.problem.num_free))
-        assert coarse.solves - before == 2
 
     def test_adef1_adef2_same_convergence(self, stack):
         """Eq. 6 vs eq. 7: similar numerical properties (same #it ±2)."""
@@ -96,8 +81,8 @@ class TestADEF1Identities:
         b = dec.problem.rhs()
         r1 = gmres(A, b, M=TwoLevelADEF1(ras, coarse).apply, tol=1e-8,
                    restart=60, maxiter=100)
-        r2 = gmres(A, b, M=TwoLevelADEF2(ras, coarse).apply, tol=1e-8,
-                   restart=60, maxiter=100)
+        r2 = gmres(A, b, M=TwoLevel(ras, coarse, kind="adef2").apply,
+                   tol=1e-8, restart=60, maxiter=100)
         assert r1.converged and r2.converged
         assert abs(r1.iterations - r2.iterations) <= 3
 
@@ -117,10 +102,101 @@ class TestADEF1Identities:
         Ws = [compute_deflation(s, nev=4, seed=s.index).W
               for s in dec.subdomains]
         coarse = CoarseOperator(DeflationSpace(dec, Ws))
-        pre = TwoLevelBNN(asm, coarse)
+        pre = TwoLevel(asm, coarse, kind="bnn")
         A = dec.problem.matrix()
         b = dec.problem.rhs()
         res = cg(A, b, M=pre.apply, tol=1e-8, maxiter=200)
         assert res.converged
         x = np.asarray(res.x)
         assert np.linalg.norm(A @ x - b) <= 1e-6 * np.linalg.norm(b)
+
+
+# ----------------------------------------------------------------------
+# The three two-level kinds under both kernel backends
+# ----------------------------------------------------------------------
+
+#: coarse solves and global matvecs per application of each kind
+COARSE_SOLVES = {"adef1": 1, "adef2": 2, "bnn": 2}
+MATVECS = {"adef1": 0, "adef2": 1, "bnn": 1}
+#: the one-level part each kind is paired with in ``SchwarzSolver``
+ONE_LEVEL = {"adef1": OneLevelRAS, "adef2": OneLevelRAS, "bnn": OneLevelASM}
+#: agreement tolerance relative to the output norm, per kernel backend
+RTOL = {"numpy": 1e-12, "fp32": 1e-5}
+
+
+@pytest.fixture(scope="module", params=["numpy", "fp32"])
+def kernel_stack(request, diffusion_problem):
+    kernels = get_backend(request.param)
+    part = partition_mesh(diffusion_problem.mesh, 6, seed=1)
+    dec = Decomposition(diffusion_problem, part, delta=2, kernels=kernels)
+    Ws = [compute_deflation(s, nev=4, seed=s.index).W
+          for s in dec.subdomains]
+    space = DeflationSpace(dec, Ws, kernels=kernels)
+    coarse = CoarseOperator(space, kernels=kernels)
+    one_level = {cls: cls(dec, kernels=kernels)
+                 for cls in (OneLevelRAS, OneLevelASM)}
+    return request.param, dec, space, coarse, one_level
+
+
+EACH_KIND = pytest.mark.parametrize("kind", ["adef1", "adef2", "bnn"])
+
+
+class TestTwoLevelKinds:
+    def _pre(self, kernel_stack, kind):
+        *_, coarse, one_level = kernel_stack
+        return TwoLevel(one_level[ONE_LEVEL[kind]], coarse, kind=kind)
+
+    @EACH_KIND
+    def test_coarse_solves_per_application(self, kernel_stack, kind, rng):
+        _, dec, _, coarse, _ = kernel_stack
+        pre = self._pre(kernel_stack, kind)
+        n = dec.problem.num_free
+        before = coarse.solves
+        pre.apply(rng.standard_normal(n))
+        assert coarse.solves - before == COARSE_SOLVES[kind]
+        before = coarse.solves
+        pre.apply_block(rng.standard_normal((n, 3)))
+        assert coarse.solves - before == COARSE_SOLVES[kind]
+
+    @EACH_KIND
+    def test_global_matvecs_per_application(self, kernel_stack, kind, rng):
+        """Only the (I − QA) projection applies A; (I − AQ) rides the
+        cached A·Z."""
+        _, dec, *_ = kernel_stack
+        pre = self._pre(kernel_stack, kind)
+        n = dec.problem.num_free
+        before = dec.matvecs
+        pre.apply(rng.standard_normal(n))
+        assert dec.matvecs - before == MATVECS[kind]
+        before = dec.matvecs
+        pre.apply_block(rng.standard_normal((n, 3)))
+        assert dec.matvecs - before == 3 * MATVECS[kind]
+
+    @EACH_KIND
+    def test_apply_block_matches_columns(self, kernel_stack, kind, rng):
+        backend, dec, *_ = kernel_stack
+        pre = self._pre(kernel_stack, kind)
+        U = rng.standard_normal((dec.problem.num_free, 3))
+        V = pre.apply_block(U)
+        for k in range(U.shape[1]):
+            v = pre.apply(U[:, k])
+            assert np.linalg.norm(V[:, k] - v) \
+                <= RTOL[backend] * np.linalg.norm(v)
+
+    @pytest.mark.parametrize("kind", ["adef1", "bnn"])
+    def test_coarse_space_reproduced(self, kernel_stack, kind, rng):
+        """P⁻¹ A Z y = Z y: with the (I − AQ) pre-projection the
+        preconditioned operator is the identity on the coarse space
+        (the deflation property)."""
+        backend, dec, space, *_ = kernel_stack
+        pre = self._pre(kernel_stack, kind)
+        y = rng.standard_normal(space.m)
+        Zy = space.Z @ y
+        out = pre.apply(dec.problem.matrix() @ Zy)
+        assert np.linalg.norm(out - Zy) <= RTOL[backend] * np.linalg.norm(Zy)
+
+
+def test_unknown_kind_raises(stack):
+    _, ras, _, coarse = stack
+    with pytest.raises(ReproError, match="unknown two-level kind"):
+        TwoLevel(ras, coarse, kind="adef3")

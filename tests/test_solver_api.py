@@ -107,6 +107,12 @@ class TestSchwarzSolver:
             SchwarzSolver(mesh, form, num_subdomains=4, levels=3)
         with pytest.raises(ReproError):
             SchwarzSolver(mesh, form, num_subdomains=4, krylov="bicgstab")
+        # levels and preconditioner must not contradict each other
+        for levels, pre in ((1, "adef1"), (1, "bnn"), (2, "ras"),
+                            (2, "asm")):
+            with pytest.raises(ReproError, match="contradicts"):
+                SchwarzSolver(mesh, form, num_subdomains=4, levels=levels,
+                              preconditioner=pre)
         with pytest.raises(ReproError):
             SchwarzSolver(mesh, form, num_subdomains=4,
                           preconditioner="amg")
