@@ -272,8 +272,10 @@ class SchwarzSolver:
         #: (e.g. the recycling session augmenting the deflation space)
         self.coarse_backend = coarse_backend
         if part is None:
-            part = partition_mesh(mesh, num_subdomains,
-                                  method=partition_method, seed=seed)
+            with self.timer.phase("partition"):
+                part = partition_mesh(mesh, num_subdomains,
+                                      method=partition_method, seed=seed,
+                                      recorder=self.recorder)
         with self.timer.phase("decomposition"):
             self.decomposition = Decomposition(self.problem, part,
                                                delta=delta,

@@ -16,7 +16,7 @@ This is the algebraic heart of the paper's §2: every subdomain carries
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,7 +34,11 @@ from .problem import Problem
 
 @dataclass
 class Subdomain:
-    """All local data of one subdomain (one simulated MPI rank)."""
+    """All local data of one subdomain (one simulated MPI rank).
+
+    The mesh-only fields come from the decomposition's cached
+    :class:`SubdomainTopology` and are shared, read-only, by every build
+    on the mesh; the matrices are this build's own."""
 
     index: int
     #: parent cell ids of T_i^δ and the layer at which each entered
@@ -74,8 +78,54 @@ class Subdomain:
         return len(self.neighbors)
 
 
+@dataclass(frozen=True)
+class SubdomainTopology:
+    """The mesh-only data of one subdomain — everything the numeric phase
+    needs that does not depend on the coefficients.  Arrays are
+    read-only: one record serves every build on the same mesh."""
+
+    index: int
+    #: T_i^δ (cells, entry layers), Ω_i^δ and V_i^δ
+    cells: np.ndarray
+    layers: np.ndarray
+    mesh: SimplexMesh
+    space: FunctionSpace
+    #: T_i^{δ+1} and V_i^{δ+1}, where the Dirichlet matrix is assembled
+    cells_dp1: np.ndarray
+    space_dp1: FunctionSpace
+    #: positions in V_i^{δ+1} of the kept (free) V_i^δ dofs, and the
+    #: kept V_i^δ dofs themselves
+    sel: np.ndarray
+    keep_idx: np.ndarray
+    dofs: np.ndarray
+    d: np.ndarray
+    #: exchange maps, filled once every subdomain's dofs are known
+    neighbors: tuple[int, ...] = ()
+    shared: dict[int, np.ndarray] = field(default_factory=dict)
+    overlap_mask: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class Topology:
+    """Mesh-only phase of a decomposition: overlaps, submeshes, spaces,
+    dof maps, partition of unity and neighbour exchange maps."""
+
+    subdomains: list[SubdomainTopology]
+    #: number of subdomains sharing each free dof
+    multiplicity: np.ndarray
+
+
 class Decomposition:
     """The overlapping decomposition of a :class:`~repro.dd.problem.Problem`.
+
+    Every build runs two phases.  The *topology* phase
+    (:class:`Topology`) depends on the mesh alone; it is kept in the
+    mesh's one-entry ``"topology"`` memo slot, keyed by δ, the space
+    signature (type, degree, components), the ``part`` contents and the
+    free dofs, so a second decomposition with the same key on the same
+    mesh reuses it (:attr:`topology_reused`).  The *numeric* phase —
+    local assembly, the trims to ``A_dir``/``A_neu``/``A_geneo``, Jacobi
+    scaling and symmetry detection — runs on every build.
 
     Parameters
     ----------
@@ -87,14 +137,15 @@ class Decomposition:
         Overlap width δ >= 1 (the paper's strong-scaling runs use the
         minimal geometric overlap δ = 1).
     parallel:
-        Executor for the per-subdomain extraction/assembly loop
+        Executor for the per-subdomain extraction/assembly loops
         (:class:`~repro.parallel.ParallelConfig`, a backend name, or
         ``None`` for serial).  Results are executor-independent.
     recorder:
         Optional :class:`repro.obs.Recorder` — records the build steps
-        as spans (``build_subdomains``, ``apply_scaling``,
-        ``build_exchange``) and counts every distributed matvec under
-        the ``matvecs`` counter.
+        as spans (``build_topology`` with its ``build_exchange`` when the
+        topology is built, ``build_subdomains``, ``apply_scaling``), the
+        gauge ``dd.topology_reused`` (1 when the memo answered), and
+        counts every distributed matvec under the ``matvecs`` counter.
     kernels:
         Optional :class:`~repro.kernels.KernelBackend` owning the
         overlap-exchange kernel; ``None`` uses the reference ``numpy``
@@ -123,12 +174,24 @@ class Decomposition:
         #: number of distributed A·x products performed (the solve-phase
         #: SpMV counter — the fast A-DEF1 apply path must not move it)
         self.matvecs = 0
+        space = problem.space
+        key = (self.delta, type(space), space.degree, space.ncomp, part,
+               problem.free)
+        with self.recorder.span("build_topology"):
+            topology, self.topology_reused = problem.mesh.memo(
+                "topology", key, lambda: _build_topology(
+                    problem, part, self.delta, self.parallel,
+                    self.recorder))
+        if self.recorder.enabled:
+            self.recorder.gauge("dd.topology_reused",
+                                float(self.topology_reused))
+        self.multiplicity = topology.multiplicity
         with self.recorder.span("build_subdomains"):
-            self._build_subdomains()
+            self.subdomains = parallel_map(
+                lambda t: _assemble_subdomain(problem.form, t),
+                topology.subdomains, self.parallel)
         with self.recorder.span("apply_scaling"):
             self._apply_scaling()
-        with self.recorder.span("build_exchange"):
-            self._build_exchange()
         self._detect_symmetry()
 
     # ------------------------------------------------------------------
@@ -173,127 +236,6 @@ class Decomposition:
             s.A_neu = (Si @ s.A_neu @ Si).tocsr()
             if s.A_geneo is not None:
                 s.A_geneo = (Si @ s.A_geneo @ Si).tocsr()
-
-    # ------------------------------------------------------------------
-    def _build_subdomains(self) -> None:
-        problem, delta = self.problem, self.delta
-        mesh, form = problem.mesh, problem.form
-        gspace = problem.space
-        N = self.num_subdomains
-
-        # pre-warm the shared caches every task reads (mesh topology and
-        # the global dof layout), so concurrent tasks never race to
-        # populate a lazily-computed attribute
-        mesh.vertex_to_cells
-        gspace.cell_scalar_dofs
-        gspace.cell_dofs
-
-        # grow to δ+1 once; T_i^δ is the layer <= δ prefix
-        grown = parallel_map(
-            lambda i: grow_overlap(mesh, self.part, i, delta + 1),
-            range(N), self.parallel)
-        overlaps_d = []
-        for cells, layers in grown:
-            keep = layers <= delta
-            overlaps_d.append((cells[keep], layers[keep]))
-        chi, chi_total = chi_tilde(mesh, overlaps_d, delta)
-
-        def build_one(i: int) -> Subdomain:
-            cells_dp1, _ = grown[i]
-            cells_d, layers_d = overlaps_d[i]
-
-            smesh1, vmap1, cmap1 = mesh.extract_cells(cells_dp1)
-            space1 = form.make_space(smesh1)
-            A_loc = form.assemble_matrix(space1, cell_map=cmap1)
-
-            smesh0, vmap0, cmap0 = mesh.extract_cells(cells_d)
-            space0 = form.make_space(smesh0)
-
-            g_d = map_vector_dofs(space0, gspace, vmap0, cmap0)
-            g_dp1 = map_vector_dofs(space1, gspace, vmap1, cmap1)
-            inv = np.full(gspace.num_dofs, -1, dtype=np.int64)
-            inv[g_dp1] = np.arange(g_dp1.size)
-            pos_in_dp1 = inv[g_d]
-            if np.any(pos_in_dp1 < 0):  # pragma: no cover - internal check
-                raise DecompositionError(
-                    f"V_{i}^δ not contained in V_{i}^(δ+1)")
-
-            reduced = problem.free_lookup[g_d]
-            keep = reduced >= 0
-            dofs = reduced[keep]
-
-            # Dirichlet matrix: trim the δ+1 assembly (approach 2 of §2)
-            sel = pos_in_dp1[keep]
-            A_dir = A_loc[sel][:, sel].tocsr()
-
-            # Neumann matrix: discretise directly on V_i^δ
-            A_neu = form.assemble_matrix(space0, cell_map=cmap0)
-            keep_idx = np.flatnonzero(keep)
-            A_neu = A_neu[keep_idx][:, keep_idx].tocsr()
-
-            # SPD surrogate for the extended-GenEO pencil, same V_i^δ
-            # reduction as A_neu (None for plain-GenEO-compatible forms)
-            A_geneo = form.assemble_geneo_matrix(space0, cell_map=cmap0)
-            if A_geneo is not None:
-                A_geneo = A_geneo[keep_idx][:, keep_idx].tocsr()
-
-            # partition-of-unity diagonal
-            verts, chi_vals = chi[i]
-            if not np.array_equal(verts, vmap0):  # pragma: no cover
-                raise DecompositionError(
-                    "vertex sets of χ̃ and submesh disagree")
-            d_scal = pou_diagonal(space0, chi_vals, chi_total[vmap0])
-            d = expand_to_vector(d_scal, gspace.ncomp)[keep]
-
-            return Subdomain(
-                index=i, cells=cells_d, layers=layers_d, mesh=smesh0,
-                space=space0, dofs=dofs, A_dir=A_dir, A_neu=A_neu, d=d,
-                A_geneo=A_geneo)
-
-        self.subdomains = parallel_map(build_one, range(N), self.parallel)
-
-    # ------------------------------------------------------------------
-    def _build_exchange(self) -> None:
-        """Compute neighbour sets O_i and the aligned shared-dof position
-        arrays that realise R_i R_jᵀ."""
-        subs = self.subdomains
-        dofs_all = np.concatenate([s.dofs for s in subs])
-        owner = np.concatenate([np.full(s.size, s.index, dtype=np.int64)
-                                for s in subs])
-        pos = np.concatenate([np.arange(s.size, dtype=np.int64) for s in subs])
-        order = np.argsort(dofs_all, kind="stable")
-        dsort, osort, psort = dofs_all[order], owner[order], pos[order]
-        starts = np.flatnonzero(np.r_[True, dsort[1:] != dsort[:-1]])
-        ends = np.r_[starts[1:], dsort.size]
-
-        from collections import defaultdict
-        pair_pos: dict[tuple[int, int], list[int]] = defaultdict(list)
-        multiplicity = np.zeros(self.problem.num_free, dtype=np.int64)
-        for s0, s1 in zip(starts, ends):
-            multiplicity[dsort[s0]] = s1 - s0
-            if s1 - s0 < 2:
-                continue
-            group_owner = osort[s0:s1]
-            group_pos = psort[s0:s1]
-            for a in range(s1 - s0):
-                for b in range(s1 - s0):
-                    if group_owner[a] != group_owner[b]:
-                        pair_pos[(group_owner[a], group_owner[b])].append(
-                            group_pos[a])
-        if np.any(multiplicity == 0):  # pragma: no cover - internal check
-            raise DecompositionError("a free dof belongs to no subdomain")
-        self.multiplicity = multiplicity
-
-        for (i, j), plist in pair_pos.items():
-            # entries appended in ascending global-dof order (groups are
-            # visited in sorted order), so both sides align
-            subs[i].shared[j] = np.asarray(plist, dtype=np.int64)
-        for s in subs:
-            s.neighbors = sorted(s.shared.keys())
-            mask = np.zeros(s.size, dtype=bool)
-            for j in s.neighbors:
-                mask[s.shared[j]] = True
-            s.overlap_mask = mask
 
     # ------------------------------------------------------------------
     # Global <-> local transfers (test / driver utilities)
@@ -383,3 +325,146 @@ class Decomposition:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"Decomposition(N={self.num_subdomains}, delta={self.delta}, "
                 f"n_free={self.problem.num_free})")
+
+
+# ----------------------------------------------------------------------
+# The two build phases
+# ----------------------------------------------------------------------
+
+def _freeze(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def _build_topology(problem: Problem, part: np.ndarray, delta: int,
+                    parallel: ParallelConfig, recorder) -> Topology:
+    """The mesh-only phase: overlaps to δ+1, both submeshes and spaces
+    per subdomain, dof maps, partition of unity and exchange maps."""
+    mesh, form, gspace = problem.mesh, problem.form, problem.space
+    N = int(part.max()) + 1
+
+    # pre-warm the shared caches every task reads (mesh topology and
+    # the global dof layout), so concurrent tasks never race to
+    # populate a lazily-computed attribute
+    mesh.vertex_to_cells
+    gspace.cell_scalar_dofs
+    gspace.cell_dofs
+
+    # grow to δ+1 once; T_i^δ is the layer <= δ prefix
+    grown = parallel_map(lambda i: grow_overlap(mesh, part, i, delta + 1),
+                         range(N), parallel)
+    overlaps_d = []
+    for cells, layers in grown:
+        keep = layers <= delta
+        overlaps_d.append((cells[keep], layers[keep]))
+    chi, chi_total = chi_tilde(mesh, overlaps_d, delta)
+
+    def build_one(i: int) -> SubdomainTopology:
+        cells_dp1, _ = grown[i]
+        cells_d, layers_d = overlaps_d[i]
+        smesh1, vmap1, cmap1 = mesh.extract_cells(cells_dp1)
+        space1 = form.make_space(smesh1)
+        smesh0, vmap0, cmap0 = mesh.extract_cells(cells_d)
+        space0 = form.make_space(smesh0)
+
+        g_d = map_vector_dofs(space0, gspace, vmap0, cmap0)
+        g_dp1 = map_vector_dofs(space1, gspace, vmap1, cmap1)
+        inv = np.full(gspace.num_dofs, -1, dtype=np.int64)
+        inv[g_dp1] = np.arange(g_dp1.size)
+        pos_in_dp1 = inv[g_d]
+        if np.any(pos_in_dp1 < 0):  # pragma: no cover - internal check
+            raise DecompositionError(
+                f"V_{i}^δ not contained in V_{i}^(δ+1)")
+
+        reduced = problem.free_lookup[g_d]
+        keep = reduced >= 0
+
+        # partition-of-unity diagonal
+        verts, chi_vals = chi[i]
+        if not np.array_equal(verts, vmap0):  # pragma: no cover
+            raise DecompositionError(
+                "vertex sets of χ̃ and submesh disagree")
+        d_scal = pou_diagonal(space0, chi_vals, chi_total[vmap0])
+        return SubdomainTopology(
+            index=i, cells=cmap0, layers=layers_d, mesh=smesh0,
+            space=space0, cells_dp1=cmap1, space_dp1=space1,
+            sel=pos_in_dp1[keep], keep_idx=np.flatnonzero(keep),
+            dofs=reduced[keep],
+            d=expand_to_vector(d_scal, gspace.ncomp)[keep])
+
+    subs = parallel_map(build_one, range(N), parallel)
+    with recorder.span("build_exchange"):
+        shared, multiplicity = _exchange_maps([t.dofs for t in subs],
+                                              problem.num_free)
+    records = []
+    for t, sh in zip(subs, shared):
+        mask = np.zeros(t.dofs.size, dtype=bool)
+        for pos in sh.values():
+            mask[pos] = True
+        t = replace(t, neighbors=tuple(sorted(sh)), shared=sh,
+                    overlap_mask=mask)
+        _freeze(*sh.values(), *(v for v in vars(t).values()
+                                if isinstance(v, np.ndarray)))
+        records.append(t)
+    _freeze(multiplicity)
+    return Topology(records, multiplicity)
+
+
+def _exchange_maps(dofs: list[np.ndarray], num_free: int
+                   ) -> tuple[list[dict[int, np.ndarray]], np.ndarray]:
+    """Neighbour sets O_i and the aligned shared-dof position arrays that
+    realise R_i R_jᵀ, plus the multiplicity of every free dof."""
+    dofs_all = np.concatenate(dofs)
+    owner = np.concatenate([np.full(d.size, i, dtype=np.int64)
+                            for i, d in enumerate(dofs)])
+    pos = np.concatenate([np.arange(d.size, dtype=np.int64) for d in dofs])
+    order = np.argsort(dofs_all, kind="stable")
+    dsort, osort, psort = dofs_all[order], owner[order], pos[order]
+    starts = np.flatnonzero(np.r_[True, dsort[1:] != dsort[:-1]])
+    ends = np.r_[starts[1:], dsort.size]
+
+    from collections import defaultdict
+    pair_pos: dict[tuple[int, int], list[int]] = defaultdict(list)
+    multiplicity = np.zeros(num_free, dtype=np.int64)
+    for s0, s1 in zip(starts, ends):
+        multiplicity[dsort[s0]] = s1 - s0
+        if s1 - s0 < 2:
+            continue
+        group_owner = osort[s0:s1]
+        group_pos = psort[s0:s1]
+        for a in range(s1 - s0):
+            for b in range(s1 - s0):
+                if group_owner[a] != group_owner[b]:
+                    pair_pos[(group_owner[a], group_owner[b])].append(
+                        group_pos[a])
+    if np.any(multiplicity == 0):  # pragma: no cover - internal check
+        raise DecompositionError("a free dof belongs to no subdomain")
+
+    # entries appended in ascending global-dof order (groups are visited
+    # in sorted order), so both sides align
+    shared: list[dict[int, np.ndarray]] = [{} for _ in dofs]
+    for (i, j), plist in pair_pos.items():
+        shared[i][j] = np.asarray(plist, dtype=np.int64)
+    return shared, multiplicity
+
+
+def _assemble_subdomain(form, t: SubdomainTopology) -> Subdomain:
+    """The numeric phase of one subdomain: assemble on V_i^{δ+1} and trim
+    to the Dirichlet matrix (approach 2 of §2), discretise the Neumann
+    matrix (and the extended-GenEO surrogate) directly on V_i^δ."""
+    A_loc = form.assemble_matrix(t.space_dp1, cell_map=t.cells_dp1)
+    A_dir = A_loc[t.sel][:, t.sel].tocsr()
+    A_neu = form.assemble_matrix(t.space, cell_map=t.cells)
+    A_neu = A_neu[t.keep_idx][:, t.keep_idx].tocsr()
+    # SPD surrogate for the extended-GenEO pencil, same V_i^δ reduction
+    # as A_neu (None for plain-GenEO-compatible forms)
+    A_geneo = form.assemble_geneo_matrix(t.space, cell_map=t.cells)
+    if A_geneo is not None:
+        A_geneo = A_geneo[t.keep_idx][:, t.keep_idx].tocsr()
+    # the dict and list are fresh per build; the arrays are the cached,
+    # read-only ones
+    return Subdomain(
+        index=t.index, cells=t.cells, layers=t.layers, mesh=t.mesh,
+        space=t.space, dofs=t.dofs, A_dir=A_dir, A_neu=A_neu, d=t.d,
+        neighbors=list(t.neighbors), shared=dict(t.shared),
+        overlap_mask=t.overlap_mask, A_geneo=A_geneo)

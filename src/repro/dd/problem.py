@@ -70,10 +70,15 @@ class Problem:
 
     # ------------------------------------------------------------------
     @cached_property
-    def _full_system(self) -> tuple[sp.csr_matrix, np.ndarray]:
-        A = self.form.assemble_matrix(self.space)
-        b = self.form.assemble_rhs(self.space)
-        return A, b
+    def _global_matrix(self) -> sp.csr_matrix:
+        """Full-dof global A — assembled only by :meth:`matrix` and the
+        :attr:`scale` fallback, never on the domain-decomposition path."""
+        return self.form.assemble_matrix(self.space)
+
+    @cached_property
+    def _global_rhs(self) -> np.ndarray:
+        """Full-dof load vector b (assembled without A)."""
+        return self.form.assemble_rhs(self.space)
 
     # -- symmetric Jacobi scaling --------------------------------------
     def set_scale(self, scale: np.ndarray) -> None:
@@ -91,8 +96,7 @@ class Problem:
         if self.scaling is None:
             return None
         if self._scale is None:
-            A, _ = self._full_system
-            d = A.diagonal()[self.free]
+            d = self._global_matrix.diagonal()[self.free]
             # |d|: indefinite operators (Helmholtz past the resonance)
             # have negative diagonal entries; sqrt(d) would be NaN.
             # Bitwise identical to the old expression for SPD operators.
@@ -103,8 +107,7 @@ class Problem:
         """Reduced global stiffness matrix (assembled lazily; reference
         use only — the DD path never forms it).  Includes the symmetric
         scaling when enabled."""
-        A, _ = self._full_system
-        A = A[self.free][:, self.free].tocsr()
+        A = self._global_matrix[self.free][:, self.free].tocsr()
         s = self.scale
         if s is not None:
             S = sp.diags(s)
@@ -113,8 +116,7 @@ class Problem:
 
     def rhs(self) -> np.ndarray:
         """Reduced (and scaled, if enabled) right-hand side."""
-        _, b = self._full_system
-        b = b[self.free]
+        b = self._global_rhs[self.free]
         s = self.scale
         return b if s is None else s * b
 

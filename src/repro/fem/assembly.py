@@ -35,8 +35,8 @@ def _cell_geometry(space: FunctionSpace):
     Memoised on the space: stiffness, mass and load assembly all need the
     same batch, and reassembling paths (elasticity's two forms, Picard's
     per-iteration reassembly) would otherwise recompute every cell
-    Jacobian/inverse/determinant each time.  Meshes are never mutated in
-    place (refinement returns new meshes, hence new spaces), so the cache
+    Jacobian/inverse/determinant each time.  Mesh arrays are read-only
+    (refinement returns new meshes, hence new spaces), so the cache
     cannot go stale.
     """
     cached = getattr(space, "_cell_geometry_cache", None)

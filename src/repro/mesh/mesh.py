@@ -5,6 +5,12 @@ numpy arrays: ``vertices`` of shape ``(nv, dim)`` and ``cells`` of shape
 ``(nc, dim + 1)``, which is all that the algebraic domain-decomposition
 machinery needs.  Everything derived (facets, dual graph, boundary) is
 computed lazily and cached.
+
+Meshes are immutable: :attr:`SimplexMesh.vertices` and
+:attr:`SimplexMesh.cells` are read-only views, so every cache on a mesh
+(the topology properties here, the per-space cell geometry of
+:mod:`repro.fem.assembly`, and the one-entry :meth:`SimplexMesh.memo`
+slots the partitioner and the decomposition keep) can never go stale.
 """
 
 from __future__ import annotations
@@ -15,6 +21,21 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..common.errors import MeshError
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of *arr*; *arr* itself keeps its flags."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
+def _same_key(a: tuple, b: tuple) -> bool:
+    """Entry-wise key equality; ndarray entries compare by contents."""
+    return len(a) == len(b) and all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray)
+        or isinstance(y, np.ndarray) else x == y
+        for x, y in zip(a, b))
 
 
 class SimplexMesh:
@@ -28,11 +49,16 @@ class SimplexMesh:
         ``(nc, dim + 1)`` int array of vertex indices per cell.
     validate:
         When true (default), checks index bounds and positive volumes.
+
+    The stored arrays are read-only views (the caller's own arrays keep
+    their flags); writing through them raises ``ValueError``.
     """
 
     def __init__(self, vertices, cells, *, validate: bool = True):
-        self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
-        self.cells = np.ascontiguousarray(cells, dtype=np.int64)
+        self.vertices = _read_only(np.ascontiguousarray(vertices,
+                                                        dtype=np.float64))
+        self.cells = _read_only(np.ascontiguousarray(cells, dtype=np.int64))
+        self._memo: dict[str, tuple] = {}
         if self.vertices.ndim != 2 or self.vertices.shape[1] not in (2, 3):
             raise MeshError(
                 f"vertices must be (nv, 2) or (nv, 3), got {self.vertices.shape}")
@@ -227,6 +253,33 @@ class SimplexMesh:
             pos = np.searchsorted(key_sorted, q)
             out[:, k] = order[pos]
         return out
+
+    # ------------------------------------------------------------------
+    # Memo slots for data derived from the mesh alone
+    # ------------------------------------------------------------------
+    def memo(self, name: str, key: tuple, build):
+        """``(value, reused)`` of the one-entry memo slot *name*.
+
+        The slot keeps the last ``(key, value)`` pair.  A call whose *key*
+        equals the stored one (entries compared with ``==``, ndarray
+        entries with :func:`numpy.array_equal`) returns the stored value
+        and ``True``; any other key runs ``build()``, stores its result in
+        place of the old entry and returns it with ``False``.  ndarray
+        key entries are stored as read-only copies, so a caller that
+        later mutates its own array cannot match a stale entry.
+
+        The partitioner and the decomposition keep their mesh-only
+        results here.  One entry per slot bounds the memory; an entry
+        lives as long as the mesh.
+        """
+        slot = self._memo.get(name)
+        if slot is not None and _same_key(slot[0], key):
+            return slot[1], True
+        value = build()
+        self._memo[name] = (tuple(
+            _read_only(k.copy()) if isinstance(k, np.ndarray) else k
+            for k in key), value)
+        return value, False
 
     # ------------------------------------------------------------------
     # Submeshes

@@ -14,13 +14,31 @@ from .spectral import fiedler_vector, partition_spectral
 
 
 def partition_mesh(mesh: SimplexMesh, nparts: int, *, method: str = "multilevel",
-                   seed: int = 0) -> np.ndarray:
+                   seed: int = 0, recorder=None) -> np.ndarray:
     """Partition a mesh's cells into *nparts* subdomains.
 
-    ``method`` is ``"multilevel"`` (METIS-like, on the dual graph) or
-    ``"rcb"`` (recursive coordinate bisection of cell centroids).
-    Returns a per-cell part array.
+    ``method`` is ``"multilevel"`` (METIS-like, on the dual graph),
+    ``"rcb"`` (recursive coordinate bisection of cell centroids) or
+    ``"spectral"``.  Returns a per-cell part array.
+
+    Every method is deterministic for a given *seed* and meshes are
+    immutable, so the last result is kept on the mesh (its one-entry
+    ``"partition"`` memo slot, keyed by ``(nparts, method, seed)``): a
+    repeated call returns a copy of it without partitioning again.  The
+    caller owns the returned array.  With a *recorder*, the gauge
+    ``partition.reused`` says whether the memo answered (1) or the
+    partitioner ran (0).
     """
+    key = (nparts, method, seed)
+    part, reused = mesh.memo("partition", key,
+                             lambda: _partition(mesh, *key))
+    if recorder is not None and recorder.enabled:
+        recorder.gauge("partition.reused", float(reused))
+    return part.copy()
+
+
+def _partition(mesh: SimplexMesh, nparts: int, method: str,
+               seed: int) -> np.ndarray:
     if method == "multilevel":
         return partition_graph(mesh.dual_graph, nparts, seed=seed)
     if method == "rcb":
