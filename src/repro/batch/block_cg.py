@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import KrylovError
-from ..krylov.profile import SolveProfiler
+from ..common.timing import PhaseTimer
 from .block_gmres import BlockKrylovResult
 
 
@@ -36,7 +36,7 @@ def _block_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def block_cg(A_block, B: np.ndarray, *, M_block=None,
              X0: np.ndarray | None = None, tol: float = 1e-6,
              maxiter: int = 1000,
-             profiler: SolveProfiler | None = None,
+             profiler: PhaseTimer | None = None,
              callback=None) -> BlockKrylovResult:
     """Solve the SPD system ``A X = B`` column-wise with block PCG.
 
@@ -49,7 +49,7 @@ def block_cg(A_block, B: np.ndarray, *, M_block=None,
     if B.ndim != 2:
         raise KrylovError(f"B must be a column block, got ndim={B.ndim}")
     n, p = B.shape
-    prof = profiler if profiler is not None else SolveProfiler()
+    prof = profiler if profiler is not None else PhaseTimer()
     M = (lambda X: X) if M_block is None else M_block
 
     X = np.zeros((n, p)) if X0 is None \

@@ -14,7 +14,7 @@ Converged columns are deflated at restart boundaries (and before the
 first cycle): the active block shrinks, so late stragglers don't pay
 the full-width gemms.  Per-column convergence is read off the block
 least-squares problem each step and reported through
-:meth:`~repro.krylov.SolveProfiler.column_converged`.
+:meth:`~repro.common.timing.PhaseTimer.column_converged`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..common.errors import KrylovError
-from ..krylov.profile import SolveProfiler
+from ..common.timing import PhaseTimer
 
 
 @dataclass
@@ -54,7 +54,7 @@ def _qr_block(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def block_gmres(A_block, B: np.ndarray, *, M_block=None,
                 X0: np.ndarray | None = None, tol: float = 1e-6,
                 restart: int = 20, maxiter: int = 1000,
-                profiler: SolveProfiler | None = None,
+                profiler: PhaseTimer | None = None,
                 callback=None, kernels=None) -> BlockKrylovResult:
     """Solve ``A X = B`` column-wise with block GMRES(m).
 
@@ -86,7 +86,7 @@ def block_gmres(A_block, B: np.ndarray, *, M_block=None,
     n, p = B.shape
     if restart < 1:
         raise KrylovError(f"restart must be >= 1, got {restart}")
-    prof = profiler if profiler is not None else SolveProfiler()
+    prof = profiler if profiler is not None else PhaseTimer()
     M = (lambda X: X) if M_block is None else M_block
 
     X = np.zeros((n, p)) if X0 is None \

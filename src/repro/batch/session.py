@@ -25,10 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..common.errors import ReproError, SymmetryError
+from ..common.timing import PhaseTimer
 from ..core.adef import TwoLevel
 from ..core.coarse import CoarseOperator
 from ..core.solver import SolveReport
-from ..krylov import SolveProfiler, gmres
+from ..krylov import gmres
 from .block_cg import block_cg
 from .block_gmres import BlockKrylovResult, block_gmres
 from .recycle import harvest_ritz_vectors, recycled_deflation
@@ -219,8 +220,8 @@ class SolveSession:
         self._preconditioner = self.solver.preconditioner
 
     # ------------------------------------------------------------------
-    def _make_profiler(self) -> SolveProfiler:
-        profiler = SolveProfiler(recorder=self.recorder)
+    def _make_profiler(self) -> PhaseTimer:
+        profiler = PhaseTimer(recorder=self.recorder)
         coarse = self._coarse if self._coarse is not None \
             else self.solver.coarse
         if coarse is not None:

@@ -222,7 +222,7 @@ class CoarseOperator:
             self.recorder.event("coarse.strategy", attrs={
                 "name": self.strategy.name,
                 "exact": bool(getattr(self.factorization, "exact", True))})
-        #: optional :class:`~repro.krylov.SolveProfiler` — when attached,
+        #: optional :class:`~repro.common.timing.PhaseTimer` — when attached,
         #: every coarse solve is timed under its ``coarse_solve`` phase
         self.profiler = None
         #: optional :class:`~repro.resilience.FaultInjector`; fires the

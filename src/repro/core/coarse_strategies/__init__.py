@@ -24,9 +24,7 @@ Selection order for :func:`get_strategy`:
 
 from __future__ import annotations
 
-import os
-
-from ...common.errors import ReproError
+from ...common.registry import resolve_name
 from .base import CoarseSolveStrategy
 from .direct import SparseStrategy, csr_from_blocks
 from .multilevel import MultilevelCoarseSolve, MultilevelStrategy
@@ -60,11 +58,8 @@ def get_strategy(spec=None) -> CoarseSolveStrategy:
     instance passes through unchanged."""
     if isinstance(spec, CoarseSolveStrategy):
         return spec
-    resolved = spec or os.environ.get(ENV_VAR) or "sparse"
-    if resolved not in _STRATEGIES:
-        raise ReproError(
-            f"unknown coarse strategy {resolved!r}; "
-            f"expected one of {strategy_names()}")
+    resolved = resolve_name(spec, _STRATEGIES, env=ENV_VAR,
+                            default="sparse", kind="coarse strategy")
     return _STRATEGIES[resolved]()
 
 

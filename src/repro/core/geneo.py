@@ -19,13 +19,13 @@ first, as they must be).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from ..common.errors import EigenError, RankFailure, ReproError
+from ..common.errors import EigenError, RankFailure
+from ..common.registry import resolve_name
 from ..common.validation import matrix_is_symmetric
 from ..dd.decomposition import Subdomain
 from ..eigen import lanczos_generalized, subspace_iteration
@@ -304,19 +304,14 @@ def get_coarse_space(name: str | None = None, *,
                      operator_is_spd: bool = True):
     """Resolve a coarse-space builder by registry name.
 
-    ``None`` resolves ``$REPRO_COARSE_SPACE`` and then auto-selects:
-    ``"geneo"`` for SPD operators (the paper's construction),
-    ``"extended"`` (Nataf–Parolin) for nonsymmetric/indefinite ones.
-    Returns ``(name, builder)``.
+    ``None`` (or ``""``) resolves ``$REPRO_COARSE_SPACE`` and then
+    auto-selects: ``"geneo"`` for SPD operators (the paper's
+    construction), ``"extended"`` (Nataf–Parolin) for
+    nonsymmetric/indefinite ones.  Returns ``(name, builder)``.
     """
-    if name is None:
-        name = os.environ.get("REPRO_COARSE_SPACE") or None
-    if name is None:
-        name = "geneo" if operator_is_spd else "extended"
-    if name not in _COARSE_SPACES:
-        raise ReproError(
-            f"unknown coarse space {name!r}; expected one of "
-            f"{available_coarse_spaces()}")
+    name = resolve_name(name, _COARSE_SPACES, env="REPRO_COARSE_SPACE",
+                        default="geneo" if operator_is_spd else "extended",
+                        kind="coarse space")
     return name, _COARSE_SPACES[name]
 
 

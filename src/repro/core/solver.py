@@ -40,7 +40,6 @@ from ..fem.forms import Form
 from ..kernels import get_backend
 from ..krylov import (
     KrylovResult,
-    SolveProfiler,
     cg,
     deflated_cg,
     fgmres,
@@ -410,7 +409,7 @@ class SchwarzSolver:
         # one profiler shared between the Krylov loop (matvec / apply /
         # orthogonalization) and the coarse operator (coarse_solve, a
         # sub-interval of apply) — surfaced on KrylovResult.profile
-        profiler = SolveProfiler(recorder=self.recorder)
+        profiler = PhaseTimer(recorder=self.recorder)
         if self.coarse is not None:
             self.coarse.profiler = profiler
             self.coarse.injector = injector

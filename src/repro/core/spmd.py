@@ -112,13 +112,10 @@ class SpmdRank:
         self._tag_counter = 0
 
     def _span(self, label: str):
-        """Optional tracing span (no-op unless a Tracer is attached to
-        the meter)."""
-        tracer = getattr(self.comm.meter, "tracer", None)
-        if tracer is None:
-            from contextlib import nullcontext
-            return nullcontext()
-        return tracer.span(self.comm.world_rank, label)
+        """A span on this rank's ``rank{r}`` track of the meter's
+        recorder (a no-op unless the meter carries a recorder)."""
+        return self.comm.meter.recorder.span(
+            label, track=f"rank{self.comm.world_rank}")
 
     # -- neighbour exchange (the matvec communication pattern) ----------
     def exchange(self, x: np.ndarray, tag_base: int) -> np.ndarray:

@@ -17,10 +17,9 @@ KernelBackend``.
 
 from __future__ import annotations
 
-import os
 import warnings
 
-from ..common.errors import ReproError
+from ..common.registry import resolve_name
 from .base import KernelBackend
 
 ENV_VAR = "REPRO_KERNEL_BACKEND"
@@ -62,11 +61,8 @@ def get_backend(name: str | None = None, recorder=None) -> KernelBackend:
     unchanged."""
     if isinstance(name, KernelBackend):
         return name
-    resolved = name or os.environ.get(ENV_VAR) or "numpy"
-    if resolved not in _FACTORIES:
-        raise ReproError(
-            f"unknown kernel backend {resolved!r}; "
-            f"expected one of {backend_names()}")
+    resolved = resolve_name(name, _FACTORIES, env=ENV_VAR,
+                            default="numpy", kind="kernel backend")
     try:
         return _FACTORIES[resolved](recorder)
     except BackendUnavailable as exc:

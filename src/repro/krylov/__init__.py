@@ -5,8 +5,7 @@ from .deflated_cg import deflated_cg
 from .fgmres import fgmres
 from .gmres import KrylovResult, gmres
 from .pipelined import p1_gmres
-from .profile import SolveProfiler
 from .sstep import s_step_gmres
 
 __all__ = ["gmres", "fgmres", "cg", "deflated_cg", "p1_gmres",
-           "s_step_gmres", "KrylovResult", "SolveProfiler"]
+           "s_step_gmres", "KrylovResult"]

@@ -10,13 +10,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import IndefiniteError, KrylovBreakdown
+from ..common.timing import PhaseTimer
 from .gmres import KrylovResult, _as_operator
-from .profile import SolveProfiler, finish_zero_rhs
+from .profile import finish_zero_rhs
 
 
 def cg(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
        tol: float = 1e-6, maxiter: int = 1000,
-       callback=None, profiler: SolveProfiler | None = None,
+       callback=None, profiler: PhaseTimer | None = None,
        health=None) -> KrylovResult:
     """Left-preconditioned CG: solve ``A x = b`` with SPD ``A`` and SPD
     preconditioner ``M`` (applied as an operator).
@@ -30,7 +31,7 @@ def cg(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
     """
     b = np.asarray(b, dtype=np.float64)
     n = b.shape[0]
-    prof = profiler if profiler is not None else SolveProfiler()
+    prof = profiler if profiler is not None else PhaseTimer()
     A_mul = prof.wrap(_as_operator(A, n, "A"), "matvec")
     M_mul = prof.wrap(_as_operator(M, n, "M"), "apply")
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)

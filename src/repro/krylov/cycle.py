@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..common.errors import ConvergenceError, KrylovError
-from .profile import SolveProfiler, finish_zero_rhs
+from ..common.timing import PhaseTimer
+from .profile import finish_zero_rhs
 
 
 @dataclass
@@ -116,7 +117,7 @@ class RestartShell:
         self.A_mul, self.b, self.norm = A_mul, b, norm
         self.state = KrylovState(0, 0, None) if state is None else state
         self.tol, self.maxiter = tol, maxiter
-        self.prof = SolveProfiler() if prof is None else prof
+        self.prof = PhaseTimer() if prof is None else prof
         self.health, self.callback = health, callback
         self.tick = fault if fault is not None else lambda: None
         self.on_boundary = on_boundary
@@ -131,7 +132,7 @@ class RestartShell:
         iterate ``x0`` (copied) or zero.  Returns ``(shell, M_mul)``."""
         b = np.asarray(b, dtype=np.float64)
         n = b.shape[0]
-        prof = profiler if profiler is not None else SolveProfiler()
+        prof = profiler if profiler is not None else PhaseTimer()
         A_mul = prof.wrap(_as_operator(A, n, "A"), "matvec")
         M_mul = prof.wrap(_as_operator(M, n, "M"), "apply")
         x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)

@@ -16,16 +16,17 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..common.errors import IndefiniteError, KrylovError
+from ..common.timing import PhaseTimer
 from ..solvers import factorize
 from .gmres import KrylovResult, _as_operator
-from .profile import SolveProfiler, finish_zero_rhs
+from .profile import finish_zero_rhs
 
 
 def deflated_cg(A, b: np.ndarray, Z, *, M=None,
                 x0: np.ndarray | None = None, tol: float = 1e-6,
                 maxiter: int = 1000, backend: str = "dense",
                 callback=None,
-                profiler: SolveProfiler | None = None,
+                profiler: PhaseTimer | None = None,
                 health=None) -> KrylovResult:
     """Deflated (and optionally preconditioned) CG.
 
@@ -46,7 +47,7 @@ def deflated_cg(A, b: np.ndarray, Z, *, M=None,
     """
     b = np.asarray(b, dtype=np.float64)
     n = b.shape[0]
-    prof = profiler if profiler is not None else SolveProfiler()
+    prof = profiler if profiler is not None else PhaseTimer()
     A_mul = prof.wrap(_as_operator(A, n, "A"), "matvec")
     M_mul = prof.wrap(_as_operator(M, n, "M"), "apply")
     if health is not None:

@@ -17,14 +17,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import KrylovError
+from ..common.timing import PhaseTimer
 from .cycle import ArnoldiCycle, KrylovResult, RestartShell
-from .profile import SolveProfiler
 
 
 def fgmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
            tol: float = 1e-6, restart: int = 40, maxiter: int = 1000,
            callback=None,
-           profiler: SolveProfiler | None = None,
+           profiler: PhaseTimer | None = None,
            health=None, kernels=None) -> KrylovResult:
     """Flexible restarted GMRES; *M* may change between applications.
 

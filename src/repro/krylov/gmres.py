@@ -13,7 +13,7 @@ designed to reduce.
 
 The restart loop and the Arnoldi + Givens cycle are the shared engine of
 :mod:`repro.krylov.cycle` (workspaces allocated once per solve, MGS
-through preallocated buffers).  A :class:`~repro.krylov.SolveProfiler`
+through preallocated buffers).  A :class:`~repro.common.timing.PhaseTimer`
 times the ``matvec``, ``apply`` and ``orthogonalization`` cost centres;
 the result carries the accumulated seconds in
 :attr:`KrylovResult.profile`.
@@ -24,15 +24,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import KrylovError
+from ..common.timing import PhaseTimer
 from .cycle import (ArnoldiCycle, KrylovResult, RestartShell,  # noqa: F401
                     _as_operator)
-from .profile import SolveProfiler
 
 
 def gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
           tol: float = 1e-6, restart: int = 40, maxiter: int = 1000,
           callback=None, raise_on_stall: bool = False,
-          profiler: SolveProfiler | None = None,
+          profiler: PhaseTimer | None = None,
           health=None, keep_basis: bool = False,
           kernels=None) -> KrylovResult:
     """Right-preconditioned restarted GMRES: solve ``A (M y) = b``,

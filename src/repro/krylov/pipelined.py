@@ -21,14 +21,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..common.errors import KrylovError
+from ..common.timing import PhaseTimer
 from .cycle import KrylovResult, RestartShell
-from .profile import SolveProfiler
 
 
 def p1_gmres(A, b: np.ndarray, *, M=None, x0: np.ndarray | None = None,
              tol: float = 1e-6, restart: int = 40, maxiter: int = 1000,
              callback=None,
-             profiler: SolveProfiler | None = None,
+             profiler: PhaseTimer | None = None,
              health=None) -> KrylovResult:
     """Right-preconditioned pipelined GMRES(m) (p1-GMRES).
 

@@ -1,7 +1,6 @@
 """Simulated MPI substrate: thread-per-rank SPMD with metered traffic."""
 
 from .meter import Meter, RankStats, payload_bytes
-from .trace import Span, Tracer
 from .simmpi import Comm, NeighborComm, Request, run_spmd, waitany
 
 __all__ = [
@@ -13,6 +12,4 @@ __all__ = [
     "Meter",
     "RankStats",
     "payload_bytes",
-    "Tracer",
-    "Span",
 ]

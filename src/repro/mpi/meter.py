@@ -82,15 +82,14 @@ class Meter:
     traffic counters ``mpi.sends`` / ``mpi.send_bytes`` / ``mpi.recvs``
     / ``mpi.recv_bytes`` / ``mpi.collective.<kind>`` /
     ``mpi.collective_bytes`` / ``mpi.global_syncs``; per-rank detail
-    stays on :class:`RankStats`.
+    stays on :class:`RankStats`.  SPMD rank code opens its spans on the
+    same recorder, one ``rank{r}`` track per world rank.
     """
 
     def __init__(self, world_size: int, *, recorder=None):
         self.world_size = world_size
         self._stats = [RankStats() for _ in range(world_size)]
         self._lock = threading.Lock()
-        #: optional :class:`repro.mpi.trace.Tracer` for span recording
-        self.tracer = None
         self.recorder = NULL_RECORDER if recorder is None else recorder
         #: fault-tolerance aggregates (whole-run, not per-rank)
         self.rank_deaths = 0

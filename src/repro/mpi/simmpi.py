@@ -887,9 +887,9 @@ def run_spmd(nranks: int, fn, *args, meter: Meter | None = None,
 
     Passing a :class:`repro.obs.Recorder` as *recorder* instruments the
     run end to end: the (possibly auto-created) meter feeds the ``mpi.*``
-    traffic counters, and a per-rank :class:`~repro.mpi.trace.Tracer` is
-    attached (unless the caller already set one) so rank spans land on
-    the shared timeline as ``rank{r}`` tracks.
+    traffic counters, and rank code that opens spans on the meter's
+    recorder (``SpmdRank`` does) lands them on the shared timeline as
+    ``rank{r}`` tracks.
 
     Passing a :class:`repro.resilience.FaultPlan` (or a ready
     :class:`~repro.resilience.FaultInjector`) as *faults* arms
@@ -931,9 +931,6 @@ def run_spmd(nranks: int, fn, *args, meter: Meter | None = None,
         meter = Meter(nranks, recorder=recorder)
     elif recorder is not None and not meter.recorder.enabled:
         meter.recorder = recorder
-    if recorder is not None and recorder.enabled and meter.tracer is None:
-        from .trace import Tracer
-        meter.tracer = Tracer(nranks, recorder=recorder)
     injector = None
     timeout = _TIMEOUT
     if faults is not None:

@@ -2,9 +2,12 @@
 
 One :class:`Recorder` threads through setup (``SchwarzSolver`` →
 ``Decomposition``/``CoarseOperator``), the solve phase (every Krylov
-driver), the parallel setup engine and the simulated MPI layer; the four
-legacy mechanisms (``PhaseTimer``, ``SolveProfiler``, ``Tracer``,
-``Meter``) are thin adapters over it.  See ``docs/observability.md``.
+driver), the parallel setup engine and the simulated MPI layer.  Two
+thin adapters feed it: :class:`repro.common.timing.PhaseTimer` (setup
+phases and Krylov cost centres, with per-phase seconds and counts) and
+:class:`repro.mpi.Meter` (simulated-MPI traffic counters; SPMD ranks
+open their ``rank{r}`` spans on the meter's recorder).  See
+``docs/observability.md``.
 
 On top of the capture layer sit three analysis surfaces:
 
@@ -34,6 +37,7 @@ from .analysis import (
 from .export import (
     FORMATS,
     TraceData,
+    gantt,
     load_trace,
     render_trace,
     summary,
@@ -78,6 +82,7 @@ __all__ = [
     "write_trace",
     "load_trace",
     "render_trace",
+    "gantt",
     # analysis
     "analyze",
     "critical_path",

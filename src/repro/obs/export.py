@@ -14,8 +14,9 @@ Three interchangeable views of one :class:`~repro.obs.Recorder`:
   the benchmark ``results/BENCH_*.json`` files.
 
 :func:`write_trace` / :func:`load_trace` round-trip either file format;
-:func:`render_trace` turns a loaded file back into the ASCII Gantt +
-phase table that ``python -m repro.cli trace <path>`` prints.
+:func:`render_trace` turns a loaded file back into the ASCII Gantt
+(:func:`gantt`, which also renders a live recorder) + phase table that
+``python -m repro.cli trace <path>`` prints.
 """
 
 from __future__ import annotations
@@ -222,10 +223,11 @@ def load_trace(path) -> TraceData:
 # ASCII rendering (the ``repro trace`` subcommand)
 # ----------------------------------------------------------------------
 
-def _gantt(trace: TraceData, *, width: int = 78,
-           max_tracks: int = 16) -> str:
-    """ASCII Gantt over tracks — the telemetry twin of
-    :meth:`repro.mpi.trace.Tracer.gantt`, labelled by track name."""
+def gantt(trace, *, width: int = 78, max_tracks: int = 16) -> str:
+    """ASCII Gantt chart of a live :class:`Recorder` or a loaded
+    :class:`TraceData`: one row per track (SPMD ranks, setup workers,
+    the main thread), one glyph per span name, leaves painted over their
+    parents."""
     spans = trace.spans
     if not spans:
         return "(no spans recorded)"
@@ -268,7 +270,7 @@ def render_trace(trace: TraceData, *, width: int = 78,
     """The ASCII report of a loaded trace: Gantt, phase table, counters."""
     from ..common.asciiplot import table
 
-    parts = [_gantt(trace, width=width, max_tracks=max_tracks)]
+    parts = [gantt(trace, width=width, max_tracks=max_tracks)]
     totals = trace.totals()
     if totals:
         rows = [[name, f"{t['seconds'] * 1e3:.3f}", str(t["count"])]

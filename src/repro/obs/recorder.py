@@ -2,9 +2,12 @@
 
 The repo used to measure its cost breakdown — the per-phase times of
 figs. 8/10, the §3.3 message counts, the reductions §3.5 pipelines away
-— with four disconnected mechanisms (``PhaseTimer``, ``SolveProfiler``,
-``Tracer``, ``Meter``) that neither nested nor shared a clock.  This
-module is the single source of truth they now adapt to:
+— with four disconnected mechanisms (a setup phase timer, a Krylov
+solve profiler, an SPMD rank tracer and the MPI traffic meter) that
+neither nested nor shared a clock.  This module is now the single
+source of truth, fed by two thin adapters
+(:class:`repro.common.timing.PhaseTimer` and :class:`repro.mpi.Meter`).
+It holds:
 
 * **hierarchical spans** — every span opened on a thread nests inside
   the span currently open on that thread, so ``coarse_solve`` sits

@@ -113,3 +113,51 @@ class TestAsciiPlot:
         out = sparsity(M, width=20)
         assert "#" in out
         assert out.count("\n") >= 3
+
+
+def _backend(name):
+    from repro.kernels import get_backend
+    return get_backend(name).name
+
+
+def _strategy(name):
+    from repro.core.coarse_strategies import get_strategy
+    return get_strategy(name).name
+
+
+def _coarse_space(name):
+    from repro.core.geneo import get_coarse_space
+    return get_coarse_space(name)[0]
+
+
+class TestRegistryResolvers:
+    """The three registries share one rule: argument → ``$REPRO_*`` →
+    default, where ``None`` and ``""`` both mean unset, and an unknown
+    name raises a ReproError that lists the registered names."""
+
+    CASES = [
+        pytest.param(_backend, "REPRO_KERNEL_BACKEND", "numpy", "fp32",
+                     "kernel backend", id="kernel-backend"),
+        pytest.param(_strategy, "REPRO_COARSE_STRATEGY", "sparse",
+                     "multilevel", "coarse strategy", id="coarse-strategy"),
+        pytest.param(_coarse_space, "REPRO_COARSE_SPACE", "geneo",
+                     "nicolaides", "coarse space", id="coarse-space"),
+    ]
+
+    @pytest.mark.parametrize("resolve, env, default, other, kind", CASES)
+    def test_one_rule(self, resolve, env, default, other, kind,
+                      monkeypatch):
+        monkeypatch.delenv(env, raising=False)
+        assert resolve(None) == default
+        assert resolve("") == default
+        assert resolve(other) == other
+        monkeypatch.setenv(env, other)
+        assert resolve(None) == other
+        assert resolve("") == other
+        assert resolve(default) == default          # argument beats env
+        monkeypatch.setenv(env, "")
+        assert resolve(None) == default
+        with pytest.raises(ReproError, match=f"unknown {kind} 'bogus'") \
+                as err:
+            resolve("bogus")
+        assert default in str(err.value) and other in str(err.value)

@@ -157,6 +157,25 @@ class TestSpmdSolve:
                                     tol=1e-8, maxiter=100)
         assert res[-1] <= 1e-8 * 1.01
 
+    def test_meter_recorder_gets_rank_spans(self, stack):
+        """A meter that carries a recorder is enough to trace the ranks:
+        every rank records its matvecs and local solves on its own
+        ``rank{r}`` track, and only the masters record coarse solves."""
+        from repro.obs import Recorder
+        dec, space, _ = stack
+        N = dec.num_subdomains
+        rec = Recorder()
+        solve_spmd(dec, space, dec.problem.rhs(), num_masters=2, tol=1e-8,
+                   maxiter=100, meter=Meter(N, recorder=rec))
+        tracks = {name: {s.track for s in rec.find(name)}
+                  for name in ("matvec", "local solve", "coarse solve")}
+        ranks = {f"rank{r}" for r in range(N)}
+        assert tracks["matvec"] == ranks
+        assert tracks["local solve"] == ranks
+        assert len(tracks["coarse solve"]) == 2
+        assert tracks["coarse solve"] <= ranks
+        assert rec.counters["mpi.sends"] > 0
+
 
 @pytest.fixture(scope="module")
 def chaos_problem():

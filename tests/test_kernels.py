@@ -470,8 +470,8 @@ def test_fgmres_inexact_fp32_preconditioner(diffusion_decomposition):
         return y * (1.0 + 1e-4 * (calls["n"] % 3))   # iteration-varying
 
     health = HealthMonitor()
-    from repro.krylov import SolveProfiler
-    prof = SolveProfiler()
+    from repro.common.timing import PhaseTimer
+    prof = PhaseTimer()
     with warnings.catch_warnings():
         warnings.simplefilter("error")               # quiet = no warnings
         res = fgmres(dec.matvec, b, M=inexact_M, tol=1e-10,

@@ -183,11 +183,11 @@ class TestIterationEvents:
     history of every driver exactly (restart fixups included)."""
 
     def _events_match(self, driver, system, **kw):
-        from repro.krylov import SolveProfiler
+        from repro.common.timing import PhaseTimer
         from repro.obs import Recorder, iteration_residuals
         A, b, _ = system
         rec = Recorder()
-        r = driver(A, b, profiler=SolveProfiler(recorder=rec), **kw)
+        r = driver(A, b, profiler=PhaseTimer(recorder=rec), **kw)
         assert iteration_residuals(rec) == r.residuals
         return rec, r
 
@@ -223,9 +223,9 @@ class TestIterationEvents:
     def test_no_recorder_emits_nothing(self, system):
         """The default profiler records zero events — drivers stay
         telemetry-free unless a Recorder is attached."""
-        from repro.krylov import SolveProfiler
+        from repro.common.timing import PhaseTimer
         A, b, _ = system
-        prof = SolveProfiler()
+        prof = PhaseTimer()
         r = gmres(A, b, tol=1e-8, restart=5, maxiter=600, profiler=prof)
         assert r.converged
         assert not prof.recorder.enabled

@@ -238,25 +238,27 @@ class TestExporters:
 
 class TestAdapters:
     def test_phase_timer_mirrors_spans(self):
+        """One accumulator for setup phases and Krylov cost centres:
+        every block (wrapped call or ``phase``) is counted, timed and
+        mirrored as a span, and phases nest structurally."""
         from repro.common.timing import PhaseTimer
         rec = Recorder()
         timer = PhaseTimer(recorder=rec)
         with timer.phase("decomposition"):
             pass
-        assert timer.counts["decomposition"] == 1
-        assert len(rec.find("decomposition")) == 1
-
-    def test_solve_profiler_mirrors_phases(self):
-        from repro.krylov import SolveProfiler
-        rec = Recorder()
-        prof = SolveProfiler(recorder=rec)
-        fn = prof.wrap(lambda x: x + 1, "matvec")
-        assert fn(1) == 2
-        with prof.phase("apply"):
-            with prof.phase("coarse_solve"):
+        fn = timer.wrap(lambda x: x + 1, "matvec")
+        assert fn(1) == 2 and fn(2) == 3
+        with timer.phase("apply"):
+            with timer.phase("coarse_solve"):
                 pass
-        assert prof.calls == {"matvec": 1, "apply": 1, "coarse_solve": 1}
+        assert timer.counts == {"decomposition": 1, "matvec": 2,
+                                "apply": 1, "coarse_solve": 1}
+        assert set(timer.as_dict()) == set(timer.counts)
+        assert all(secs >= 0 for secs in timer.totals.values())
+        assert len(rec.find("decomposition")) == 1
+        assert len(rec.find("matvec")) == 2
         assert rec.nested_within("coarse_solve", "apply")
+        assert timer.totals["coarse_solve"] <= timer.totals["apply"]
 
     def test_timed_map_labels_tasks(self):
         from repro.parallel import ParallelConfig, timed_map

@@ -1,139 +1,69 @@
-"""Tests for the SPMD execution tracer."""
+"""Tests for per-rank SPMD tracing and the ASCII Gantt of a trace."""
 
-import time
-
-import numpy as np
-import pytest
-
-from repro.mpi import Meter, Tracer
-from repro.mpi.trace import Span
+from repro.core.spmd import SpmdRank
+from repro.mpi import run_spmd
+from repro.obs import EventRecord, Recorder, SpanRecord, TraceData, gantt
 
 
-class TestTracer:
-    def test_records_spans(self):
-        tr = Tracer(2)
-        with tr.span(0, "work"):
-            time.sleep(0.002)
-        with tr.span(1, "other"):
-            pass
-        assert len(tr.spans[0]) == 1
-        assert tr.spans[0][0].label == "work"
-        assert tr.spans[0][0].duration >= 0.002
+def _trace(*spans, event_tracks=()):
+    """A trace holding ``(name, track, start, end)`` spans, plus one
+    instant event on each of *event_tracks* (tracks with no spans)."""
+    return TraceData(
+        spans=[SpanRecord(name, track, start, end, index=i)
+               for i, (name, track, start, end) in enumerate(spans)],
+        events=[EventRecord("iteration", t, 0.0, {}) for t in event_tracks])
 
-    def test_totals_accumulate(self):
-        tr = Tracer(1)
-        for _ in range(3):
-            with tr.span(0, "a"):
-                time.sleep(0.001)
-        assert tr.totals(0)["a"] >= 0.003
 
-    def test_summary_max_over_ranks(self):
-        tr = Tracer(2)
-        tr.spans[0].append(Span("a", 0.0, 1.0))
-        tr.spans[1].append(Span("a", 0.0, 3.0))
-        assert tr.summary()["a"] == pytest.approx(3.0)
-
-    def test_gantt_renders(self):
-        tr = Tracer(3)
-        tr.spans[0].append(Span("compute", 0.0, 0.5))
-        tr.spans[1].append(Span("exchange", 0.3, 0.9))
-        out = tr.gantt(width=40)
-        assert "rank   0" in out and "rank   2" in out
-        assert "compute" in out and "exchange" in out
-
-    def test_gantt_empty(self):
-        assert "(no spans" in Tracer(2).gantt()
-
-    def test_gantt_caps_ranks(self):
-        tr = Tracer(20)
-        for r in range(20):
-            tr.spans[r].append(Span("x", 0, 1))
-        out = tr.gantt(max_ranks=4)
-        assert "more ranks" in out
-
-    def test_exception_still_closes_span(self):
-        tr = Tracer(1)
-        with pytest.raises(ValueError):
-            with tr.span(0, "boom"):
-                raise ValueError()
-        assert len(tr.spans[0]) == 1
+def _row(out: str, track: str) -> str:
+    return next(ln for ln in out.splitlines()
+                if ln.lstrip().startswith(track + " |"))
 
 
 class TestGanttEdgeCases:
     def test_empty_rows_still_render(self):
-        """Ranks without spans get an (empty) row, not an exception."""
-        tr = Tracer(3)
-        tr.spans[1].append(Span("mid", 0.0, 1.0))
-        out = tr.gantt(width=30)
-        lines = out.splitlines()
-        assert any(ln.startswith("rank   0") for ln in lines)
-        assert any(ln.startswith("rank   2") for ln in lines)
-        row0 = next(ln for ln in lines if ln.startswith("rank   0"))
-        assert set(row0.split("|")[1]) <= {" "}
+        """Tracks without spans (event-only) get an (empty) row, not an
+        exception."""
+        out = gantt(_trace(("mid", "rank1", 0.0, 1.0),
+                           event_tracks=("rank0", "rank2")), width=30)
+        assert set(_row(out, "rank0").split("|")[1]) <= {" "}
+        assert set(_row(out, "rank2").split("|")[1]) <= {" "}
+        assert "#" in _row(out, "rank1")
 
     def test_zero_duration_span(self):
         """A zero-length span paints at least one cell and the horizon
         stays positive (no division by zero)."""
-        tr = Tracer(1)
-        tr.spans[0].append(Span("instant", 0.5, 0.5))
-        out = tr.gantt(width=30)
+        out = gantt(_trace(("instant", "rank0", 0.5, 0.5)), width=30)
         assert "[#] instant" in out
-        row = next(ln for ln in out.splitlines()
-                   if ln.startswith("rank   0"))
-        assert row.count("#") == 1
+        assert _row(out, "rank0").count("#") == 1
 
     def test_truncation_line_counts_hidden_ranks(self):
-        tr = Tracer(20)
-        for r in range(20):
-            tr.spans[r].append(Span("x", 0, 1))
-        out = tr.gantt(max_ranks=16)
-        assert "... (4 more ranks)" in out
-        assert "rank  15" in out and "rank  16" not in out
+        out = gantt(_trace(*[("x", f"rank{r}", 0.0, 1.0)
+                             for r in range(20)]), max_tracks=16)
+        assert "... (4 more tracks)" in out
+        assert "rank15 |" in out and "rank16" not in out
 
     def test_glyph_reuse_past_ten_labels(self):
         """The glyph alphabet has 10 symbols; label 11 wraps around to
         the first glyph rather than failing."""
-        tr = Tracer(1)
-        for i in range(12):
-            tr.spans[0].append(Span(f"lab{i}", float(i), float(i) + 0.5))
-        out = tr.gantt(width=60)
+        out = gantt(_trace(*[(f"lab{i}", "rank0", float(i), i + 0.5)
+                             for i in range(12)]), width=60)
         assert "[#] lab0" in out and "[#] lab10" in out
         assert "[*] lab1" in out and "[*] lab11" in out
 
     def test_recorder_mirroring(self):
-        """A tracer built with a Recorder forwards spans onto the shared
-        timeline under the rank's track."""
-        from repro.obs import Recorder
+        """An SPMD rank opens its spans on the meter's recorder, under
+        the rank's own track, and the live recorder renders as is."""
         rec = Recorder()
-        tr = Tracer(2, recorder=rec)
-        with tr.span(1, "exchange"):
-            pass
-        assert len(tr.spans[1]) == 1
-        mirrored = rec.find("exchange")
-        assert len(mirrored) == 1
-        assert mirrored[0].track == "rank1"
 
+        def fn(comm):
+            rank = SpmdRank(comm=comm, dec=None, index=comm.rank, W=None,
+                            layout=None, factor=None)
+            with rank._span("exchange"):
+                pass
 
-class TestTracerIntegration:
-    def test_spmd_solve_records_phases(self):
-        from repro import SchwarzSolver
-        from repro.core.spmd import solve_spmd
-        from repro.fem.forms import DiffusionForm
-        from repro.mesh import unit_square
-
-        mesh = unit_square(12)
-        s = SchwarzSolver(mesh, DiffusionForm(degree=2),
-                          num_subdomains=4, nev=3)
-        meter = Meter(4)
-        meter.tracer = Tracer(4)
-        b = s.problem.rhs()
-        solve_spmd(s.decomposition, s.deflation, b, num_masters=2,
-                   tol=1e-6, maxiter=60, meter=meter)
-        summ = meter.tracer.summary()
-        assert "matvec" in summ
-        assert "local solve" in summ
-        assert "coarse solve" in summ      # recorded on the masters
-        # only masters solve the coarse system
-        solvers = [r for r in range(4)
-                   if "coarse solve" in meter.tracer.totals(r)]
-        assert len(solvers) == 2
+        run_spmd(2, fn, recorder=rec)
+        assert sorted(s.track for s in rec.find("exchange")) == \
+            ["rank0", "rank1"]
+        out = gantt(rec, width=30)
+        assert "rank0 |" in out and "rank1 |" in out
+        assert "[#] exchange" in out
