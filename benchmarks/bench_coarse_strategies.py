@@ -1,27 +1,20 @@
-"""Coarse-solve strategy shoot-out: dense vs sparse vs multilevel.
+"""Coarse-solve shoot-out: the masters' dense solve vs the sparse one.
 
 The scaling wall of §3.4 is the coarse solve: at paper N the dense
 distributed Cholesky on the masters serialises in its panel broadcasts.
-This benchmark measures the dense masters' solve and the two registered
-strategies on the same coarse operators and extends the table to the paper's N with the α–β
-cost models (:mod:`repro.perfmodel.coarse_costs`):
+This benchmark measures the dense masters' solve and the sparse direct
+solve the coarse operator builds, on the same coarse operators, and
+extends the table to the paper's N with the α–β cost models
+(:mod:`repro.perfmodel.coarse_costs`):
 
-* **dense** is the paper's masters' solve, not a registry strategy:
-  the block-row
+* **dense** is the paper's masters' solve: the block-row
   :class:`~repro.solvers.distributed.DistributedCholesky` over the
-  simulated MPI masterComm, with the panel/substitution bytes metered
-  (its solver runs the default exact strategy, which builds the same E);
-* **sparse** is measured as the sequential solve handle the strategy
-  actually builds (the MUMPS-regime masters would divide that work);
-* **multilevel** is measured sequentially and reported as its SPMD
-  wall-clock estimate — sequential time / P₂ plus the modelled inner
-  reductions — the same convention the figure-8/10 harness uses for
-  every concurrent phase (``measure_row``: solution = t_seq / N +
-  modelled communication).  The raw sequential seconds are kept in the
-  JSON;
+  simulated MPI masterComm, with the panel/substitution bytes metered;
+* **sparse** is measured as the sequential sparse factorisation of E
+  that :class:`~repro.core.coarse.CoarseOperator` builds (the
+  MUMPS-regime masters would divide that work);
 * outer-iteration parity is checked by solving the full problem at
-  tol 1e-8 under every strategy (inexact coarse solves must not cost
-  more than a handful of extra outer iterations);
+  tol 1e-8 for every row;
 * the measured rows are extended to simulated N ≥ 1024 with the
   per-strategy cost models and per-strategy power-law fits of the
   measured times.
@@ -45,14 +38,13 @@ sys.path.insert(0, str(Path(__file__).parent))
 from common import diffusion_2d, write_result, write_tracked_json  # noqa: E402
 from repro import SchwarzSolver  # noqa: E402
 from repro.common.asciiplot import table  # noqa: E402
-from repro.core.coarse_strategies import MultilevelCoarseSolve  # noqa: E402
 from repro.mpi import Meter, run_spmd  # noqa: E402
-from repro.perfmodel import CURIE, fit_power_law, strategy_cost  # noqa: E402
+from repro.perfmodel import fit_power_law, strategy_cost  # noqa: E402
 from repro.solvers import factorize  # noqa: E402
 from repro.solvers.distributed import DistributedCholesky  # noqa: E402
 
 NEV = 8
-STRATEGIES = ("dense", "sparse", "multilevel")
+STRATEGIES = ("dense", "sparse")
 #: modelled scale-out decompositions (the paper's range)
 MODEL_NS = (128, 256, 512, 1024, 2048)
 
@@ -91,17 +83,17 @@ def measure_dense_distributed(E, P: int, repeats: int):
     return t_fact, t_solve, bytes_fact, bytes_solve
 
 
-def measure_sequential(build, repeats: int, dim: int):
-    """Time build() + repeated solves of the handle it returns."""
+def measure_sparse(E, repeats: int):
+    """Time the sparse factorisation of E + repeated solves."""
     rng = np.random.default_rng(0)
-    b = rng.standard_normal(dim)
+    b = rng.standard_normal(E.shape[0])
     t0 = time.perf_counter()
-    handle = build()
+    handle = factorize(E.tocsc(), "superlu")
     t1 = time.perf_counter()
     for _ in range(repeats):
         handle.solve(b)
     t2 = time.perf_counter()
-    return handle, t1 - t0, (t2 - t1) / repeats
+    return t1 - t0, (t2 - t1) / repeats
 
 
 def run(smoke: bool) -> dict:
@@ -116,47 +108,24 @@ def run(smoke: bool) -> dict:
                 for s in STRATEGIES}
     for N in NS:
         per_n = {}
+        # one solver per N: both rows time a solve of the same E, and
+        # the outer iterations are those of its (sparse) coarse solve
+        solver = SchwarzSolver(mesh, form, num_subdomains=N, delta=1,
+                               nev=NEV, dirichlet=clamp, seed=0)
+        report = solver.solve(tol=1e-8, maxiter=400)
+        coarse = solver.coarse
+        E = coarse.E
+        dim = E.shape[0]
+        P = max(2, N // 8)
         for strat in STRATEGIES:
-            kry = "fgmres" if strat == "multilevel" else "gmres"
-            # the "dense" row measures the masters' dense distributed
-            # Cholesky on E; its solver runs the default exact strategy
-            solver = SchwarzSolver(mesh, form, num_subdomains=N, delta=1,
-                                   nev=NEV, dirichlet=clamp, seed=0,
-                                   krylov=kry,
-                                   coarse_strategy=None if strat == "dense"
-                                   else strat)
-            report = solver.solve(tol=1e-8, maxiter=400)
             iters.setdefault(strat, []).append(report.iterations)
-            coarse = solver.coarse
-            E = coarse.E
-            dim = E.shape[0]
-            P = max(2, N // 8)
             if strat == "dense":
                 t_fact, t_solve, b_fact, b_solve = \
                     measure_dense_distributed(E, P, repeats)
-            elif strat == "sparse":
-                _, t_fact, t_solve = measure_sequential(
-                    lambda E=E: factorize(E.tocsc(), "superlu"),
-                    repeats, dim)
+            else:
+                t_fact, t_solve = measure_sparse(E, repeats)
                 b_fact = 0
                 b_solve = 2.0 * 8.0 * dim      # gather/scatter plumbing
-            else:
-                space = solver.deflation
-                nbrs = [list(s.neighbors)
-                        for s in space.dec.subdomains]
-                handle, t_fact, t_seq = measure_sequential(
-                    lambda E=E, sp=space, nb=nbrs: MultilevelCoarseSolve(
-                        E, sp.offsets, nb), repeats, dim)
-                # SPMD wall-clock: the level-2 parts run concurrently
-                # (fig. 8/10 convention: sequential time / ranks +
-                # modelled communication of the inner iterations)
-                parts = handle.num_parts
-                t_solve = t_seq / parts + handle.inner_iters * (
-                    CURIE.collective("allreduce", 64, parts)
-                    + CURIE.p2p(8.0 * NEV, messages=2))
-                measured[strat].setdefault("t_seq", []).append(t_seq)
-                b_fact = 0
-                b_solve = strategy_cost("multilevel", N, NEV).bytes_solve
             per_n[strat] = (t_solve, report.iterations)
             measured[strat]["N"].append(N)
             measured[strat]["t_solve"].append(t_solve)
@@ -197,13 +166,10 @@ def run(smoke: bool) -> dict:
 
     largest = NS[-1]
     dense_t = measured["dense"]["t_solve"][-1]
-    winners = {s: measured[s]["t_solve"][-1] for s in ("sparse",
-                                                       "multilevel")}
-    # acceptance: at the largest benched N the multilevel strategy beats
-    # the dense distributed solve, with outer iterations within +5
-    assert winners["multilevel"] < dense_t, (
-        f"multilevel did not beat dense at N={largest}: "
-        f"dense={dense_t:.2e}s, multilevel={winners['multilevel']:.2e}s")
+    winners = {s: measured[s]["t_solve"][-1] for s in STRATEGIES
+               if s != "dense"}
+    # acceptance: at the largest benched N some strategy beats the dense
+    # distributed solve, with outer iterations within +5
     assert min(winners.values()) < dense_t, (
         f"no strategy beat dense at N={largest}: dense={dense_t:.2e}s, "
         f"others={winners}")

@@ -9,9 +9,9 @@ assembly time creeps up with N.
 Here algorithms 1–2 run literally over the simulated MPI (the masters
 assemble only values sent by the slaves), traffic is metered, and the
 reported time combines modelled communication with a per-strategy
-factorization flop model: the sweep over coarse strategies shows where
-the dense masters' Cholesky stops scaling (dim³ panel rounds) while
-sparse/multilevel keep going (nnz-bounded fill).
+factorization flop model: the dense vs sparse sweep shows where the
+dense masters' Cholesky stops scaling (dim³ panel rounds) while the
+sparse direct solve keeps going (nnz-bounded fill).
 """
 
 import numpy as np
@@ -24,7 +24,7 @@ from repro.perfmodel import coarse_operator_report
 
 NS = (8, 16, 32)
 NEV = 8
-STRATEGIES = ("dense", "sparse", "multilevel")
+STRATEGIES = ("dense", "sparse")
 
 
 def run_case(builder, label, strategies=("dense",), **kw):
@@ -32,16 +32,11 @@ def run_case(builder, label, strategies=("dense",), **kw):
     reports = []
     neigh = []
     for N in NS:
+        # the strategies price the same E: one solver per N
+        solver = SchwarzSolver(mesh, form, num_subdomains=N, delta=1,
+                               nev=NEV, dirichlet=clamp, seed=0)
+        P = max(1, N // 8)
         for strat in strategies:
-            kry = "fgmres" if strat == "multilevel" else "gmres"
-            # the "dense" row is the masters' dense Cholesky cost model;
-            # its solver runs the default exact strategy (the same E)
-            solver = SchwarzSolver(mesh, form, num_subdomains=N, delta=1,
-                                   nev=NEV, dirichlet=clamp, seed=0,
-                                   krylov=kry,
-                                   coarse_strategy=None if strat == "dense"
-                                   else strat)
-            P = max(1, N // 8)
             reports.append((strat, coarse_operator_report(
                 solver, num_masters=P, strategy=strat)))
             neigh.append(solver.decomposition.neighbor_counts().mean())
@@ -66,8 +61,8 @@ def coarse_reports():
                  txt3 + "\n\n" + txt2 + "\n\n" + txte +
                  "\n\npaper shape: |O_i| ≈ 12-15 (3D) vs ≈ 5.5-5.9 (2D); "
                  "nnz(E^-1) and time grow with N; the dense strategy's "
-                 "modelled time grows ~dim(E)^3 while sparse/multilevel "
-                 "stay nnz-bounded")
+                 "modelled time grows ~dim(E)^3 while sparse stays "
+                 "nnz-bounded")
     return rep3, rep2, repe
 
 
@@ -104,13 +99,11 @@ def test_fig11_sweep_covers_all_strategies(coarse_reports):
 def test_fig11_dense_stops_scaling_at_paper_n(coarse_reports):
     """The tentpole contrast: extend the fig-11 factorization models to
     the paper's N — the dense masters' Cholesky (dim³ panel rounds) is
-    the slowest strategy by an order of magnitude, while sparse and
-    multilevel stay nnz-bounded."""
+    slower than the nnz-bounded sparse direct solve by far."""
     from repro.perfmodel import strategy_cost
     costs = {s: strategy_cost(s, 1024, NEV).t_factorize
              for s in STRATEGIES}
     assert costs["dense"] > 5 * costs["sparse"]
-    assert costs["dense"] > 5 * costs["multilevel"]
 
 
 def test_fig11_bench_spmd_assembly(coarse_reports, benchmark):

@@ -246,10 +246,7 @@ class SolveSession:
                                     backend=solver.coarse_backend,
                                     parallel=solver.parallel,
                                     recorder=self.recorder,
-                                    kernels=solver.kernels,
-                                    strategy=getattr(solver,
-                                                     "coarse_strategy",
-                                                     None))
+                                    kernels=solver.kernels)
         base = solver.preconditioner
         if isinstance(base, TwoLevel):
             one_level, kind = base.one_level, base.kind

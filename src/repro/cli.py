@@ -129,7 +129,6 @@ def cmd_solve(args) -> int:
             seed=args.seed, parallel=parallel, recorder=recorder,
             faults=faults, recovery=args.recovery,
             kernel_backend=args.backend or None,
-            coarse_strategy=args.coarse_strategy or None,
             coarse_space=args.coarse_space or None)
     except ReproError as exc:
         raise SystemExit(f"error: {exc}")
@@ -141,7 +140,6 @@ def cmd_solve(args) -> int:
             ["dofs", solver.problem.space.num_dofs],
             ["subdomains", args.subdomains],
             ["coarse dim", solver.coarse_dim],
-            ["coarse strategy", solver.coarse_strategy.name],
             ["coarse space", solver.coarse_space_name],
             ["kernel backend", solver.kernels.name],
             ["iterations", report.iterations],
@@ -264,15 +262,9 @@ def _solve_batched(args, solver, recorder) -> int:
 
 def cmd_backends(args) -> int:
     import os
-    from .core.coarse_strategies import (
-        ENV_VAR as STRAT_ENV,
-        get_strategy,
-        strategy_names,
-    )
     from .kernels import ENV_VAR, available_backends, get_backend
     try:
         selected = get_backend(None).name
-        strategy = get_strategy(None).name
     except ReproError as exc:
         raise SystemExit(f"error: {exc}")
     rows = []
@@ -288,16 +280,6 @@ def cmd_backends(args) -> int:
     print(f"\nselection: --backend flag > ${ENV_VAR} "
           f"(currently {os.environ.get(ENV_VAR) or 'unset'}) > default; "
           f"selected: {selected}")
-    srows = []
-    for name in strategy_names():
-        row = get_strategy(name).describe()
-        srows.append([name, "yes" if row["exact"] else "no (inner FGMRES)"])
-    print()
-    print(table(["strategy", "exact"], srows,
-                title="repro coarse-solve strategies"))
-    print(f"\nselection: --coarse-strategy flag > ${STRAT_ENV} "
-          f"(currently {os.environ.get(STRAT_ENV) or 'unset'}) > default; "
-          f"selected: {strategy}")
     return 0
 
 
@@ -484,7 +466,7 @@ def make_parser() -> argparse.ArgumentParser:
                         help="FE degree (0 = problem default)")
         sp.add_argument("--subdomains", "-N", type=int, default=8)
         sp.add_argument("--partitioner", default="multilevel",
-                        choices=("multilevel", "rcb", "spectral"))
+                        choices=("multilevel", "rcb"))
         sp.add_argument("--seed", type=int, default=0)
 
     ps = sub.add_parser("solve", help="run the two-level solver")
@@ -546,12 +528,6 @@ def make_parser() -> argparse.ArgumentParser:
                          "(numpy, fp32, compiled; empty = "
                          "$REPRO_KERNEL_BACKEND or numpy — see "
                          "`repro backends` and docs/performance.md)")
-    ps.add_argument("--coarse-strategy", default="",
-                    help="how the coarse problem is solved (sparse, "
-                         "multilevel; empty = "
-                         "$REPRO_COARSE_STRATEGY or sparse — "
-                         "multilevel pairs with --krylov fgmres; see "
-                         "docs/performance.md)")
     ps.add_argument("--coarse-space", default="",
                     help="which coarse space is built (geneo, extended, "
                          "nicolaides; empty = $REPRO_COARSE_SPACE, or "

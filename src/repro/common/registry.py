@@ -1,9 +1,8 @@
 """The one resolution rule of the repo's name registries.
 
-Kernel backends (:func:`repro.kernels.get_backend`), coarse-solve
-strategies (:func:`repro.core.coarse_strategies.get_strategy`) and
-coarse spaces (:func:`repro.core.geneo.get_coarse_space`) all pick a
-registered name the same way: the explicit argument, else the
+Kernel backends (:func:`repro.kernels.get_backend`) and coarse spaces
+(:func:`repro.core.geneo.get_coarse_space`) both pick a registered
+name the same way: the explicit argument, else the
 registry's ``$REPRO_*`` environment variable, else its default.
 """
 

@@ -90,17 +90,6 @@ class PhaseTimer:
         """Sum over all phases."""
         return sum(self.totals.values())
 
-    def merge_max(self, other: "PhaseTimer") -> None:
-        """Per-phase maximum with *other*.
-
-        Models SPMD execution: the wall-clock of a phase executed
-        concurrently by all ranks is the slowest rank's time.
-        """
-        for name, secs in other.totals.items():
-            self.totals[name] = max(self.totals.get(name, 0.0), secs)
-            self.counts[name] = max(self.counts.get(name, 0),
-                                    other.counts.get(name, 0))
-
     def as_dict(self) -> dict[str, float]:
         """Accumulated seconds per phase (a plain copy)."""
         return dict(self.totals)

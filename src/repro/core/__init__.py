@@ -13,15 +13,6 @@ from .coarse import (
     elect_masters_uniform,
     split_ranges,
 )
-from .coarse_strategies import (
-    CoarseSolveStrategy,
-    MultilevelCoarseSolve,
-    MultilevelStrategy,
-    SparseStrategy,
-    get_strategy,
-    register_strategy,
-    strategy_names,
-)
 from .deflation import DeflationSpace
 from .geneo import (
     GeneoResult,
@@ -60,13 +51,6 @@ __all__ = [
     "elect_masters_uniform",
     "elect_masters_nonuniform",
     "split_ranges",
-    "CoarseSolveStrategy",
-    "SparseStrategy",
-    "MultilevelStrategy",
-    "MultilevelCoarseSolve",
-    "get_strategy",
-    "register_strategy",
-    "strategy_names",
     "compute_deflation",
     "extended_deflation",
     "nicolaides_deflation",

@@ -11,6 +11,12 @@ The block (i, j) is nonzero iff V_i^δ ∩ V_j^δ ≠ ∅, so the sparsity of E
 mirrors the subdomain connectivity (fig. 4: blue diagonal blocks need no
 communication, red off-diagonal blocks one neighbour transfer).
 
+E y = w is solved exactly, as in the paper: E is written straight into
+CSR and factorised sparsely, so the fill follows the subdomain
+connectivity — the regime of a distributed sparse direct solver (MUMPS
+on masterComm).  The paper's dense distributed Cholesky on the masters
+is :class:`repro.solvers.distributed.DistributedCholesky`.
+
 This module is the sequential driver (used by the high-level solver and
 the tests); :mod:`repro.core.coarse_spmd` runs algorithms 1–2 literally
 over the simulated MPI with the master–slave distribution.
@@ -25,8 +31,7 @@ import scipy.sparse as sp
 
 from ..common.errors import CoarseSolveError, DecompositionError
 from ..parallel import ParallelConfig, parallel_map
-from .coarse_strategies import get_strategy
-from .coarse_strategies.direct import _PseudoInverse, csr_from_blocks
+from ..solvers import factorize
 from .deflation import DeflationSpace
 
 
@@ -79,6 +84,42 @@ def coarse_blocks(space: DeflationSpace,
                   ) -> dict[tuple[int, int], np.ndarray]:
     """The E_{i,j} block dictionary (see :func:`coarse_blocks_with_T`)."""
     return coarse_blocks_with_T(space, parallel)[0]
+
+
+def csr_from_blocks(space, blocks) -> sp.csr_matrix:
+    """Direct CSR assembly from the neighbour-block structure.
+
+    Block (i, j) exists iff j ∈ Ō_i, and the block keys are unique, so
+    the CSR rows can be written in one pass: row block i holds the
+    horizontally-stacked blocks of its sorted neighbour columns.  No
+    COO expansion of per-entry coordinates, no duplicate-summing pass —
+    the peak memory is the CSR itself, in canonical (sorted-index)
+    form.
+    """
+    off = space.offsets
+    nu = space.nu
+    by_row: dict[int, list[int]] = {}
+    for (i, j) in blocks:
+        by_row.setdefault(i, []).append(j)
+    indptr = np.zeros(space.m + 1, dtype=np.int64)
+    indices_parts: list[np.ndarray] = []
+    data_parts: list[np.ndarray] = []
+    for i in range(len(nu)):
+        js = sorted(by_row.get(i, ()))
+        if not js:                   # pragma: no cover - empty subdomain
+            indptr[off[i] + 1:off[i + 1] + 1] = indptr[off[i]]
+            continue
+        cols = np.concatenate(
+            [np.arange(off[j], off[j + 1]) for j in js])
+        vals = np.hstack([blocks[(i, j)] for j in js])
+        row_nnz = cols.size
+        for r in range(int(nu[i])):
+            indices_parts.append(cols)
+            data_parts.append(vals[r])
+            indptr[off[i] + r + 1] = indptr[off[i] + r] + row_nnz
+    return sp.csr_matrix(
+        (np.concatenate(data_parts), np.concatenate(indices_parts),
+         indptr), shape=(space.m, space.m))
 
 
 def assemble_coarse_matrix(space: DeflationSpace,
@@ -142,6 +183,69 @@ def split_ranges(masters: np.ndarray, N: int) -> list[np.ndarray]:
 
 
 # ----------------------------------------------------------------------
+# The coarse solve: sparse direct, pseudo-inverse on rank deficiency
+# ----------------------------------------------------------------------
+
+class _PseudoInverse:
+    """Truncated-decomposition solve for (near-)singular E.
+
+    Symmetric E goes through ``eigh`` (the historical, bitwise-pinned
+    route).  Nonsymmetric E — where an eigendecomposition with real
+    ascending eigenvalues simply does not exist — is routed through the
+    SVD instead: ``E⁺ = V_k diag(1/s_k) U_kᵀ`` over the singular values
+    above the rank cut.  For symmetric positive semi-definite E the two
+    coincide, so the SVD route is the strict generalisation.
+    """
+
+    def __init__(self, E, rank_tol: float):
+        import scipy.linalg as sla
+        from ..common.validation import matrix_is_symmetric
+        self.n = E.shape[0]
+        if matrix_is_symmetric(E):
+            w, V = sla.eigh(E.toarray())
+            cut = rank_tol * max(float(w.max()), 1e-300)
+            keep = w > cut
+            self.rank = int(keep.sum())
+            self._U = self._V = V[:, keep]
+            self._winv = 1.0 / w[keep]
+        else:
+            U, s, Vt = sla.svd(E.toarray())
+            cut = rank_tol * max(float(s.max()), 1e-300)
+            keep = s > cut
+            self.rank = int(keep.sum())
+            self._U = U[:, keep]
+            self._V = Vt[keep].T
+            self._winv = 1.0 / s[keep]
+        self.nnz_factor = self.n * self.rank
+
+    def solve(self, b):
+        c = self._U.T @ b
+        scaled = self._winv[:, None] * c if c.ndim == 2 else self._winv * c
+        return self._V @ scaled
+
+
+def robust_direct(coarse, backend: str, rank_tol: float):
+    """Factorise ``coarse.E`` directly, degrading to the truncated
+    pseudo-inverse when the factorization fails or fails its probe
+    (numerically dependent deflation vectors make E singular).  The
+    probe is one solve against a seeded vector — a factorization of a
+    singular E may silently produce garbage.  The theory only needs E⁻¹
+    on range(Zᵀ·), so the truncated decomposition is the stable
+    generalisation (what MUMPS' null-pivot detection gives the paper)."""
+    E = coarse.E
+    try:
+        fact = factorize(E, backend)
+        w = np.random.default_rng(0).standard_normal(E.shape[0])
+        resid = np.linalg.norm(E @ fact.solve(w) - w)
+        if np.isfinite(resid) and resid <= 1e-6 * np.linalg.norm(w):
+            return fact
+    except Exception:  # noqa: BLE001 - any backend failure → fallback
+        pass
+    coarse.rank_deficient = True
+    return _PseudoInverse(E, rank_tol)
+
+
+# ----------------------------------------------------------------------
 # Coarse operator driver
 # ----------------------------------------------------------------------
 
@@ -173,19 +277,17 @@ class CoarseOperator:
         mirror of E (the fp64 factorization stays as the fallback and
         the resilience path).  When given, the deflation space's CSR
         products are routed through the same backend.
-    strategy:
-        How E y = w is solved — a registry name (``"sparse"``,
-        ``"multilevel"``) or a ready
-        :class:`~repro.core.coarse_strategies.CoarseSolveStrategy`
-        instance.  ``None`` resolves ``$REPRO_COARSE_STRATEGY`` and
-        falls back to the exact ``sparse`` strategy.  See
-        :mod:`repro.core.coarse_strategies`.
+
+    E y = w is solved exactly: E is factorised sparsely
+    (:func:`robust_direct`), so the fill of the factors follows the
+    subdomain connectivity instead of dim(E)², and a rank-deficient E
+    degrades to a truncated pseudo-inverse.
     """
 
     def __init__(self, space: DeflationSpace, *, backend: str = "superlu",
                  rank_tol: float = 1e-10,
                  parallel: ParallelConfig | str | None = None,
-                 recorder=None, kernels=None, strategy=None):
+                 recorder=None, kernels=None):
         from ..kernels import default_backend
         from ..obs.recorder import NULL_RECORDER
         self.space = space
@@ -193,9 +295,6 @@ class CoarseOperator:
         if kernels is not None:
             space.kernels = self.kernels
         self.recorder = NULL_RECORDER if recorder is None else recorder
-        #: the :class:`~repro.core.coarse_strategies.CoarseSolveStrategy`
-        self.strategy = get_strategy(strategy)
-        self._backend = backend
         with self.recorder.span("assemble_E"):
             blocks, T = coarse_blocks_with_T(space, parallel)
             self.E = csr_from_blocks(space, blocks)
@@ -208,11 +307,9 @@ class CoarseOperator:
         self.rank_deficient = False
         self._rank_tol = rank_tol
         with self.recorder.span("factorize_E"):
-            self.factorization = self.strategy.build(self, backend,
-                                                     rank_tol)
+            self.factorization = robust_direct(self, backend, rank_tol)
         #: optional reduced-precision solve routine from the kernel
-        #: backend (``None`` → use :attr:`factorization` directly;
-        #: inexact strategies never get a mirror)
+        #: backend (``None`` → use :attr:`factorization` directly)
         self._kernel_solve = self.kernels.make_coarse_solve(self)
         self.solves = 0
         if self.recorder.enabled:
@@ -220,8 +317,8 @@ class CoarseOperator:
             self.recorder.gauge("coarse.nnz", self.E.nnz)
             self.recorder.gauge("coarse.nnz_factor", self.nnz_factor())
             self.recorder.event("coarse.strategy", attrs={
-                "name": self.strategy.name,
-                "exact": bool(getattr(self.factorization, "exact", True))})
+                "name": "pseudo_inverse" if self.rank_deficient
+                else "sparse"})
         #: optional :class:`~repro.common.timing.PhaseTimer` — when attached,
         #: every coarse solve is timed under its ``coarse_solve`` phase
         self.profiler = None
@@ -257,11 +354,6 @@ class CoarseOperator:
         return self._checked_solve(w)
 
     def _checked_solve(self, w: np.ndarray) -> np.ndarray:
-        if self.injector is not None and hasattr(self.factorization,
-                                                 "injector"):
-            # inexact handles run an inner iteration of their own — give
-            # them the injector so level-2 faults land inside the solve
-            self.factorization.injector = self.injector
         y = self.factorization.solve(w) if self._kernel_solve is None \
             else self._kernel_solve(w)
         if self.injector is not None:
@@ -277,11 +369,10 @@ class CoarseOperator:
         return self._fallback_solve(w)
 
     def _fallback_solve(self, w: np.ndarray) -> np.ndarray:
-        """§resilience fallback chain, strategy-aware: drop the
-        reduced-precision kernel mirror (if one produced the garbage)
-        and retry the fp64 factorization; replace an inexact (multilevel)
-        solve with a sparse-direct rebuild; then rebuild E's solve as a
-        truncated pseudo-inverse; a still-broken solve raises
+        """§resilience fallback chain: drop the reduced-precision kernel
+        mirror (if one produced the garbage) and retry the fp64
+        factorization; then rebuild E's solve as a truncated
+        pseudo-inverse; a still-broken solve raises
         :class:`~repro.common.errors.CoarseSolveError` so the solver can
         degrade to one-level-only mode."""
         if self._kernel_solve is not None:
@@ -294,25 +385,6 @@ class CoarseOperator:
             if self.recorder.enabled:
                 self.recorder.event("recovery.coarse_fallback",
                                     attrs={"to": "fp64"})
-            y = self.factorization.solve(w)
-            if self.injector is not None:
-                y = self.injector.fire("coarse_solve", 0, y)
-            if np.all(np.isfinite(y)):
-                return y
-        if not getattr(self.factorization, "exact", True):
-            # an inexact (multilevel) solve went bad — a killed level-2
-            # rank or an unlucky inner breakdown; rebuild the coarse
-            # solve as an exact sparse-direct factorization of the same E
-            self.fallbacks += 1
-            warnings.warn(
-                "multilevel coarse solve produced non-finite values; "
-                "rebuilding as a sparse-direct factorization",
-                RuntimeWarning, stacklevel=3)
-            if self.recorder.enabled:
-                self.recorder.event("recovery.coarse_fallback",
-                                    attrs={"to": "sparse_direct"})
-            self.factorization = get_strategy("sparse").build(
-                self, self._backend, self._rank_tol)
             y = self.factorization.solve(w)
             if self.injector is not None:
                 y = self.injector.fire("coarse_solve", 0, y)

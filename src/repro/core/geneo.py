@@ -276,8 +276,8 @@ def nicolaides_deflation(sub: Subdomain, ncomp: int = 1) -> GeneoResult:
 
 
 # ----------------------------------------------------------------------
-# Coarse-space registry (mirrors the kernel-backend / coarse-strategy
-# registries: names resolvable from code or $REPRO_COARSE_SPACE)
+# Coarse-space registry (mirrors the kernel-backend registry: names
+# resolvable from code or $REPRO_COARSE_SPACE)
 # ----------------------------------------------------------------------
 
 def _nicolaides_builder(sub: Subdomain, *, ncomp: int = 1,

@@ -53,7 +53,6 @@ from ..partition import partition_mesh
 from ..resilience import HealthMonitor, as_injector, resolve_recovery
 from .adef import KINDS as TWO_LEVEL_KINDS, TwoLevel
 from .coarse import CoarseOperator
-from .coarse_strategies import get_strategy as get_coarse_strategy
 from .deflation import DeflationSpace
 from .geneo import (
     get_coarse_space,
@@ -170,14 +169,6 @@ class SchwarzSolver:
         CSR deflation products and the Krylov orthogonalisation — see
         ``docs/performance.md``.  (This is distinct from *backend* /
         *coarse_backend*, which pick the sparse factorization method.)
-    coarse_strategy:
-        How the coarse problem E y = w is solved — a registry name
-        (``"sparse"``, ``"multilevel"``) or a ready
-        :class:`~repro.core.coarse_strategies.CoarseSolveStrategy`
-        instance.  ``None`` resolves ``$REPRO_COARSE_STRATEGY`` and
-        falls back to the exact ``sparse`` strategy.  The
-        ``multilevel`` strategy is *inexact* — pair it with
-        ``krylov="fgmres"`` (a warning is raised otherwise).
     coarse_space:
         Which per-subdomain coarse-space builder fills the deflation
         space — a registry name (``"geneo"``, ``"extended"``,
@@ -197,7 +188,6 @@ class SchwarzSolver:
                  preconditioner: str | None = None,
                  krylov: str = "gmres", backend: str = "superlu",
                  coarse_backend: str = "superlu",
-                 coarse_strategy=None,
                  coarse_space: str | None = None,
                  partition_method: str = "multilevel",
                  eigensolver: str = "lanczos",
@@ -241,15 +231,6 @@ class SchwarzSolver:
         #: subdomains whose GenEO eigensolve degraded to Nicolaides
         self.eigensolve_fallbacks: list[int] = []
 
-        #: resolved coarse-solve strategy, shared with components that
-        #: rebuild the coarse operator later (e.g. recycling sessions)
-        self.coarse_strategy = get_coarse_strategy(coarse_strategy)
-        if not self.coarse_strategy.exact and krylov != "fgmres":
-            warnings.warn(
-                f"coarse strategy {self.coarse_strategy.name!r} solves "
-                f"the coarse problem inexactly; the outer Krylov method "
-                f"should be flexible (krylov='fgmres', got {krylov!r})",
-                RuntimeWarning, stacklevel=2)
         with self.recorder.span("setup"):
             self._setup(mesh, form, num_subdomains, delta, nev, tau,
                         preconditioner, backend, coarse_backend,
@@ -349,8 +330,7 @@ class SchwarzSolver:
                                              backend=coarse_backend,
                                              parallel=self.parallel,
                                              recorder=self.recorder,
-                                             kernels=self.kernels,
-                                             strategy=self.coarse_strategy)
+                                             kernels=self.kernels)
             self.preconditioner = TwoLevel(self.one_level, self.coarse,
                                            kind=preconditioner)
         else:

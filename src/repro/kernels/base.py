@@ -98,10 +98,7 @@ class KernelBackend:
     def make_coarse_solve(self, coarse):
         """A reduced-precision coarse solve routine for *coarse* (a
         :class:`~repro.core.coarse.CoarseOperator`), or ``None`` to use
-        its fp64 factorization directly.  Implementations must return
-        ``None`` when ``coarse.strategy`` is inexact (``exact=False``,
-        e.g. the multilevel strategy) — the solve handle is then an
-        inner iteration, not a factorization a mirror could replace."""
+        its fp64 factorization directly."""
         return None
 
     def spmv(self, A, x: np.ndarray) -> np.ndarray:

@@ -67,14 +67,9 @@ def _f32_mirror(A):
 def make_ldl_coarse_solve(backend, coarse, dtype, probe_tol: float):
     """A reduced-precision LDLᵀ solve routine for a
     :class:`~repro.core.coarse.CoarseOperator`'s E, or ``None`` when E
-    is rank-deficient, the coarse strategy is inexact, the factorization
-    fails, or the probe rejects it (the caller then keeps its own solve
-    path).  Inexact strategies (multilevel) never get a mirror: their
-    handle is an inner iteration on E, not a triangular solve that an
-    LDLᵀ of E could substitute for."""
+    is rank-deficient, the factorization fails, or the probe rejects it
+    (the caller then keeps its own solve path)."""
     if coarse.rank_deficient:
-        return None
-    if not getattr(coarse.strategy, "exact", True):
         return None
     if not matrix_is_symmetric(coarse.E):
         # nonsymmetric E must never reach SuperLU symmetric mode — the

@@ -22,6 +22,7 @@ Three interchangeable views of one :class:`~repro.obs.Recorder`:
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -223,15 +224,28 @@ def load_trace(path) -> TraceData:
 # ASCII rendering (the ``repro trace`` subcommand)
 # ----------------------------------------------------------------------
 
+_RANK_TRACK = re.compile(r"rank(\d+)")
+
+
+def _gantt_rows(tracks: list[str]) -> list[str]:
+    """Gantt row order: non-rank tracks in first-appearance order, then
+    the ``rank{r}`` tracks by r (SPMD ranks open their first span in
+    scheduling order, not rank order)."""
+    ranks = {t: int(m.group(1)) for t in tracks
+             if (m := _RANK_TRACK.fullmatch(t))}
+    return ([t for t in tracks if t not in ranks]
+            + sorted(ranks, key=ranks.get))
+
+
 def gantt(trace, *, width: int = 78, max_tracks: int = 16) -> str:
     """ASCII Gantt chart of a live :class:`Recorder` or a loaded
-    :class:`TraceData`: one row per track (SPMD ranks, setup workers,
-    the main thread), one glyph per span name, leaves painted over their
-    parents."""
+    :class:`TraceData`: one row per track (the main thread and setup
+    workers first, then the SPMD ranks in rank order), one glyph per
+    span name, leaves painted over their parents."""
     spans = trace.spans
     if not spans:
         return "(no spans recorded)"
-    tracks = trace.tracks()
+    tracks = _gantt_rows(trace.tracks())
     t_begin = min(s.start for s in spans)
     t_end = max(s.end for s in spans)
     horizon = max(t_end - t_begin, 1e-12)

@@ -10,16 +10,15 @@ from .kway import partition_graph, partition_rcb
 from .metrics import edge_cut, imbalance, neighbour_counts, part_weights, parts_connected
 from .kway import enforce_connected
 from .multilevel import multilevel_bisect
-from .spectral import fiedler_vector, partition_spectral
 
 
 def partition_mesh(mesh: SimplexMesh, nparts: int, *, method: str = "multilevel",
                    seed: int = 0, recorder=None) -> np.ndarray:
     """Partition a mesh's cells into *nparts* subdomains.
 
-    ``method`` is ``"multilevel"`` (METIS-like, on the dual graph),
-    ``"rcb"`` (recursive coordinate bisection of cell centroids) or
-    ``"spectral"``.  Returns a per-cell part array.
+    ``method`` is ``"multilevel"`` (METIS-like, on the dual graph) or
+    ``"rcb"`` (recursive coordinate bisection of cell centroids).
+    Returns a per-cell part array.
 
     Every method is deterministic for a given *seed* and meshes are
     immutable, so the last result is kept on the mesh (its one-entry
@@ -43,16 +42,12 @@ def _partition(mesh: SimplexMesh, nparts: int, method: str,
         return partition_graph(mesh.dual_graph, nparts, seed=seed)
     if method == "rcb":
         return partition_rcb(mesh.cell_centroids(), nparts)
-    if method == "spectral":
-        return partition_spectral(mesh.dual_graph, nparts, seed=seed)
     raise PartitionError(f"unknown partition method {method!r} "
-                         "(expected 'multilevel', 'rcb' or 'spectral')")
+                         "(expected 'multilevel' or 'rcb')")
 
 
 __all__ = [
     "partition_mesh",
-    "partition_spectral",
-    "fiedler_vector",
     "enforce_connected",
     "partition_graph",
     "partition_rcb",

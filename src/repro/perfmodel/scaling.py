@@ -173,9 +173,9 @@ def coarse_operator_report(solver: SchwarzSolver, *, num_masters: int,
 
     *strategy* selects the factorization cost model: ``dense`` prices
     the masters' fan-out Cholesky (dim³/(3P) on the critical path),
-    ``sparse`` the MUMPS-regime sparse direct (Σ fill² ≈ nnz(L)²/dim),
-    ``multilevel`` the level-2 local factorizations of the inexact
-    solve.  The assembly communication is metered, not modelled.
+    and ``sparse`` the MUMPS-regime sparse direct (Σ fill² ≈
+    nnz(L)²/dim).  The assembly communication is metered, not
+    modelled.
     """
     from ..core.spmd import assemble_coarse_spmd
     from ..mpi import Meter, run_spmd
@@ -202,25 +202,13 @@ def coarse_operator_report(solver: SchwarzSolver, *, num_masters: int,
         # masters factorize dense panels: ~ (dim_e)³/(3P) flops on the
         # critical path (fan-out Cholesky)
         fact_time = model.compute(dim_e ** 3 / (3.0 * num_masters))
-        nnz_used = ldl.nnz_factor
     elif strategy == "sparse":
         fact_time = model.compute(
             2.0 * ldl.nnz_factor ** 2 / max(dim_e, 1) / num_masters)
-        nnz_used = ldl.nnz_factor
-    elif strategy == "multilevel":
-        from ..core.coarse_strategies import MultilevelCoarseSolve
-        fact = solver.coarse.factorization
-        nnz_used = fact.nnz_factor \
-            if isinstance(fact, MultilevelCoarseSolve) else ldl.nnz_factor
-        # level-2 local factorizations run concurrently over the parts
-        parts = getattr(fact, "num_parts", max(2, N // 8))
-        loc = nnz_used / max(parts, 1)
-        fact_time = model.compute(
-            2.0 * loc * loc / max(dim_e / max(parts, 1), 1.0))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     return CoarseReport(
         N=N, P=num_masters, dim_e=dim_e,
         avg_neighbors=float(dec.neighbor_counts().mean()),
-        nnz_factor=nnz_used,
+        nnz_factor=ldl.nnz_factor,
         time=comm_time + fact_time)

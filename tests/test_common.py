@@ -33,15 +33,6 @@ class TestPhaseTimer:
         t.add("b", 2.0)
         assert t.total() == pytest.approx(3.0)
 
-    def test_merge_max(self):
-        t1, t2 = PhaseTimer(), PhaseTimer()
-        t1.add("a", 1.0)
-        t2.add("a", 3.0)
-        t2.add("b", 0.5)
-        t1.merge_max(t2)
-        assert t1.seconds("a") == 3.0
-        assert t1.seconds("b") == 0.5
-
     def test_unknown_phase_zero(self):
         assert PhaseTimer().seconds("never") == 0.0
 
@@ -120,26 +111,19 @@ def _backend(name):
     return get_backend(name).name
 
 
-def _strategy(name):
-    from repro.core.coarse_strategies import get_strategy
-    return get_strategy(name).name
-
-
 def _coarse_space(name):
     from repro.core.geneo import get_coarse_space
     return get_coarse_space(name)[0]
 
 
 class TestRegistryResolvers:
-    """The three registries share one rule: argument → ``$REPRO_*`` →
+    """The registries share one rule: argument → ``$REPRO_*`` →
     default, where ``None`` and ``""`` both mean unset, and an unknown
     name raises a ReproError that lists the registered names."""
 
     CASES = [
         pytest.param(_backend, "REPRO_KERNEL_BACKEND", "numpy", "fp32",
                      "kernel backend", id="kernel-backend"),
-        pytest.param(_strategy, "REPRO_COARSE_STRATEGY", "sparse",
-                     "multilevel", "coarse strategy", id="coarse-strategy"),
         pytest.param(_coarse_space, "REPRO_COARSE_SPACE", "geneo",
                      "nicolaides", "coarse space", id="coarse-space"),
     ]

@@ -1,9 +1,12 @@
-"""Tests for the coarse operator: E = ZᵀAZ, sparsity, election, correction."""
+"""Tests for the coarse operator: E = ZᵀAZ, sparsity, election,
+correction, and the coarse-solve fallback chain."""
+
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.common.errors import DecompositionError
+from repro.common.errors import CoarseSolveError, DecompositionError
 from repro.core import (
     CoarseOperator,
     DeflationSpace,
@@ -14,6 +17,9 @@ from repro.core import (
     elect_masters_uniform,
     split_ranges,
 )
+from repro.core.coarse import _PseudoInverse
+from repro.obs import Recorder
+from repro.resilience import FaultInjector, FaultPlan, FaultSpec
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +209,18 @@ class TestCoarseOperator:
             mask[s.dofs] = False
             assert not cols[mask].any()
 
+    def test_gauges_recorded(self, space):
+        rec = Recorder()
+        op = CoarseOperator(space, recorder=rec)
+        assert rec.gauges["coarse.dim"] == op.dim
+        assert rec.gauges["coarse.nnz"] == op.E.nnz
+        assert rec.gauges["coarse.nnz_factor"] == op.nnz_factor()
+        ev = [e for e in rec.events if e.name == "coarse.strategy"]
+        assert ev and ev[0].attrs == {"name": "sparse"}
+
+    def test_reference_backend_never_mirrors(self, space):
+        assert CoarseOperator(space)._kernel_solve is None
+
 
 class TestPseudoInverseFallback:
     @pytest.fixture(scope="class")
@@ -241,3 +259,49 @@ class TestPseudoInverseFallback:
         # E y reproduces the range-component of w
         resid = op.E @ y - w
         assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(w)
+
+
+class TestDegradeChain:
+    """A non-finite coarse solve degrades to the truncated
+    pseudo-inverse; a non-finite pseudo-inverse solve raises
+    :class:`CoarseSolveError` (the solver then drops to one level)."""
+
+    @staticmethod
+    def _faulty(space, nths, *, resilient=True, recorder=None):
+        op = CoarseOperator(space, recorder=recorder)
+        op.injector = FaultInjector(FaultPlan(
+            [FaultSpec("nan", "coarse_solve", nth=n) for n in nths]))
+        op.resilient = resilient
+        return op
+
+    def test_nonfinite_solve_degrades_to_pseudo_inverse(self, space, rng):
+        op = self._faulty(space, [0])
+        w = rng.standard_normal(op.dim)
+        with pytest.warns(RuntimeWarning, match="pseudo-inverse"):
+            y = op.solve(w)
+        assert np.all(np.isfinite(y))
+        assert isinstance(op.factorization, _PseudoInverse)
+        assert op.fallbacks == 1 and op.rank_deficient
+        ref = np.linalg.solve(op.E.toarray(), w)
+        assert np.linalg.norm(y - ref) <= 1e-6 * np.linalg.norm(ref)
+
+    def test_nonfinite_solve_without_recovery_raises(self, space, rng):
+        op = self._faulty(space, [0], resilient=False)
+        with pytest.raises(CoarseSolveError, match="non-finite"):
+            op.solve(rng.standard_normal(op.dim))
+        assert op.fallbacks == 0
+
+    def test_fallback_events_recorded(self, space, rng):
+        """A second fault, on the pseudo-inverse solve, has nowhere left
+        to go: it raises after the one recorded fallback."""
+        rec = Recorder()
+        op = self._faulty(space, [0, 1], recorder=rec)
+        w = rng.standard_normal(op.dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            op.solve(w)
+        with pytest.raises(CoarseSolveError, match="pseudo-inverse"):
+            op.solve(w)
+        ev = [e.attrs["to"] for e in rec.events
+              if e.name == "recovery.coarse_fallback"]
+        assert ev == ["pseudo_inverse"]

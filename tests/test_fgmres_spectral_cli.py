@@ -1,21 +1,12 @@
-"""Tests for FGMRES, spectral partitioning and the CLI."""
+"""Tests for FGMRES and the CLI."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro.cli import main as cli_main
-from repro.common.errors import KrylovError, PartitionError
+from repro.common.errors import KrylovError
 from repro.krylov import fgmres, gmres
-from repro.mesh import unit_square
-from repro.partition import (
-    edge_cut,
-    fiedler_vector,
-    imbalance,
-    partition_mesh,
-    partition_spectral,
-)
-from repro.partition.spectral import graph_laplacian, spectral_bisect
 
 
 @pytest.fixture(scope="module")
@@ -73,51 +64,6 @@ class TestFGMRES:
         A, b = spd
         r = fgmres(A, b, tol=1e-14, restart=5, maxiter=4)
         assert not r.converged
-
-
-class TestSpectral:
-    def test_laplacian_rowsums_zero(self):
-        g = unit_square(5).dual_graph
-        L = graph_laplacian(g)
-        assert np.abs(np.asarray(L.sum(axis=1))).max() < 1e-12
-
-    def test_fiedler_orthogonal_to_constants(self):
-        g = unit_square(6).dual_graph
-        f = fiedler_vector(g)
-        assert abs(f.sum()) < 1e-6
-        assert np.linalg.norm(f) == pytest.approx(1.0)
-
-    def test_fiedler_splits_path(self):
-        """On a path graph the Fiedler vector is monotone: the bisection
-        must cut it in the middle."""
-        import scipy.sparse as sps
-        n = 30
-        rows = np.arange(n - 1)
-        g = sps.coo_matrix((np.ones(n - 1), (rows, rows + 1)),
-                           shape=(n, n))
-        g = (g + g.T).tocsr()
-        side = spectral_bisect(g)
-        # the cut separates a contiguous prefix from a suffix
-        changes = np.count_nonzero(np.diff(side.astype(int)))
-        assert changes == 1
-
-    def test_kway_balanced(self):
-        m = unit_square(10)
-        part = partition_spectral(m.dual_graph, 4)
-        assert set(part) == {0, 1, 2, 3}
-        assert imbalance(part) < 0.1
-
-    def test_cut_competitive_with_multilevel(self):
-        m = unit_square(12)
-        g = m.dual_graph
-        cut_s = edge_cut(g, partition_mesh(m, 4, method="spectral"))
-        cut_m = edge_cut(g, partition_mesh(m, 4, method="multilevel"))
-        assert cut_s <= 2.0 * cut_m
-
-    def test_errors(self):
-        g = unit_square(4).dual_graph
-        with pytest.raises(PartitionError):
-            partition_spectral(g, 0)
 
 
 class TestCLI:

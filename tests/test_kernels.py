@@ -124,6 +124,16 @@ def test_available_backends_table():
         assert {"name", "available"} <= set(row)
 
 
+def test_backends_cli_names_selection(monkeypatch, capsys):
+    """``repro backends`` names the backend the registry resolves to."""
+    from repro.cli import main
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    assert main(["backends"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.rsplit("selected: ", 1)[1] for ln in lines
+            if "selected: " in ln] == ["numpy"]
+
+
 def test_default_backend_is_shared_singleton():
     assert default_backend() is default_backend()
     assert default_backend().name == "numpy"

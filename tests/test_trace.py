@@ -67,3 +67,13 @@ class TestGanttEdgeCases:
         out = gantt(rec, width=30)
         assert "rank0 |" in out and "rank1 |" in out
         assert "[#] exchange" in out
+
+    def test_rank_rows_sorted_numerically(self):
+        """Ranks open their first span in scheduling order; the rows
+        follow the rank number, after the non-rank tracks."""
+        out = gantt(_trace(*[("x", t, 0.0, 1.0)
+                             for t in ("rank4", "main", "rank0", "rank10",
+                                       "rank2")]), width=30)
+        rows = [ln.split(" |", 1)[0].strip() for ln in out.splitlines()
+                if " |" in ln]
+        assert rows == ["main", "rank0", "rank2", "rank4", "rank10"]
